@@ -25,6 +25,7 @@ import os
 import time
 
 from repro.service import ServiceConfig, ValidationService
+from repro.service.config import EXECUTOR_BACKENDS
 from repro.workloads.config import WorkloadConfig
 from repro.workloads.generator import WorkloadGenerator
 
@@ -90,13 +91,8 @@ def _run(pool, stream, shards, batch, executor, repeats=REPEATS, kernel="tree"):
     )
     latency = service.metrics.histogram("latency_seconds").summary()
     executor_obj = service._executor
-    backend = service.executor_backend
-    if hasattr(executor_obj, "workers"):
-        max_workers = executor_obj.workers
-    elif backend == "serial":
-        max_workers = 1
-    else:
-        max_workers = service.shard_count
+    # The serial backend drains in-caller: one worker.
+    max_workers = getattr(executor_obj, "workers", 1)
     run = {
         "groups": service.group_count,
         "verdicts": verdicts,
@@ -111,7 +107,7 @@ def _run(pool, stream, shards, batch, executor, repeats=REPEATS, kernel="tree"):
         # Hardware/backend context: invisible rps comparisons across
         # machines were the motivating bug (a committed process-executor
         # row measured at cpu_count=1 looked like a backend regression).
-        "executor": backend,
+        "executor": service.config.executor,
         "max_workers": max_workers,
         "cpu_count": os.cpu_count(),
     }
@@ -204,12 +200,9 @@ def test_throughput_vs_shards(report, bench_json):
 def test_throughput_vs_executor(report, bench_json):
     """Executor backends must agree verdict-for-verdict; report their cost."""
     pool, stream = _workload()
-    backends = ["serial", "thread", "resident"]
-    if not SMOKE:
-        backends.append("process-roundtrip")
     runs = {
         backend: _run(pool, stream, shards=4, batch=32, executor=backend)
-        for backend in backends
+        for backend in EXECUTOR_BACKENDS
     }
     reference = runs["serial"]["verdicts"]
     for backend, run in runs.items():
@@ -218,22 +211,22 @@ def test_throughput_vs_executor(report, bench_json):
         f"executor comparison (4 shards, batch=32, {STREAM} requests, "
         f"{os.cpu_count()} cpu core(s))",
         "",
-        "executor          | req/s    | p95 ms | ipc B/drain",
-        "------------------+----------+--------+------------",
+        "executor | req/s    | p95 ms | ipc B/drain",
+        "---------+----------+--------+------------",
     ]
     for backend, run in runs.items():
         per_drain = run.get("bytes_shipped_per_drain")
         lines.append(
-            f"{backend:17s} | {run['rps']:8,.0f} | {run['p95'] * 1e3:6.3f} | "
+            f"{backend:8s} | {run['rps']:8,.0f} | {run['p95'] * 1e3:6.3f} | "
             f"{per_drain if per_drain is not None else '-':>11}"
         )
     lines.append("")
     lines.append(
         "note: process parallelism pays off on multi-core hosts; on a "
-        "single core the serial backend is optimal and the others "
-        "measure pure coordination overhead.  The resident backend's "
-        "per-drain IPC is O(batch) -- the round-trip backend pickles "
-        "whole shard states (O(state)) every drain."
+        "single core the serial backend is optimal and the resident "
+        "one measures pure coordination overhead.  The resident "
+        "backend's per-drain IPC is O(batch): shard state never "
+        "crosses the pipe."
     )
     report("service_throughput_executors", "\n".join(lines))
     bench_json(

@@ -76,6 +76,7 @@ from repro.analysis.experiments import (
 from repro.core.validator import GroupedValidator
 from repro.licenses.rel import dumps_pool, loads_pool
 from repro.logstore.io import dump_log, load_log
+from repro.service.config import EXECUTOR_BACKENDS
 from repro.validation.naive import ExpansionValidator, ScanValidator
 from repro.validation.tree import ValidationTree
 from repro.validation.tree_validator import TreeValidator
@@ -167,14 +168,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--batch", type=int, default=32)
     serve.add_argument(
         "--executor",
-        choices=[
-            "serial", "thread", "process", "process-roundtrip", "resident",
-        ],
+        choices=EXECUTOR_BACKENDS,
         default="serial",
         help="drain scheduling backend; 'resident' keeps long-lived "
              "worker processes that own shard state (O(batch) IPC per "
-             "drain), 'process' is its deprecated alias, "
-             "'process-roundtrip' is the old per-drain state pickler",
+             "drain)",
     )
     serve.add_argument(
         "--workers", type=int, default=0, metavar="N",
@@ -246,12 +244,10 @@ def build_parser() -> argparse.ArgumentParser:
     wire.add_argument("--batch", type=int, default=32)
     wire.add_argument(
         "--executor",
-        choices=[
-            "serial", "thread", "process", "process-roundtrip", "resident",
-        ],
+        choices=EXECUTOR_BACKENDS,
         default="serial",
         help="drain scheduling backend ('resident' = long-lived worker "
-             "processes owning shard state; 'process' is its alias)",
+             "processes owning shard state)",
     )
     wire.add_argument(
         "--workers", type=int, default=0, metavar="N",
@@ -769,10 +765,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                     "seed": args.seed,
                     "shards": args.shards,
                     "batch": args.batch,
-                    # The canonical backend ('process' -> 'resident'), so
-                    # report trajectories attribute rps movement to real
-                    # executor changes, not alias spelling.
-                    "executor": service.executor_backend,
+                    "executor": service.config.executor,
                     "workers": args.workers,
                     "kernel": args.kernel,
                     "clusters": args.clusters,

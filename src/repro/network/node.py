@@ -165,27 +165,14 @@ class DistributorNode:
     # ------------------------------------------------------------------
     def serve_stream(
         self, usages, config=None, *, tracer=None, events=None, monitor=None,
-        transport="local", address=None,
     ):
         """Serve a stream of usage licenses through the validation service.
 
-        With ``transport="local"`` (the default) this builds a
-        :class:`repro.service.ValidationService` over this node's
-        pool, replays the node's existing log into it (so service
+        Builds a :class:`repro.service.ValidationService` over this
+        node's pool, replays the node's existing log into it (so service
         decisions see everything already issued), runs the stream with
         batched group-sharded admission, and folds the accepted
         issuances back into the node's log.
-
-        With ``transport="tcp"`` the node delegates admission to a remote
-        :class:`repro.net.server.AdmissionServer` at ``address=(host,
-        port)`` instead of validating locally: the stream is pipelined
-        over one :class:`repro.net.client.AdmissionClient` connection and
-        the *remote* verdicts are folded into this node's log (the server
-        validates against its own pool and log -- the paper's validation
-        authority as a network service).  The return value is then
-        ``(outcomes, None)``: there is no local service whose metrics to
-        hand back.  ``config``/``tracer``/``events``/``monitor`` apply to
-        the local path only.
 
         ``tracer``/``events`` (optional
         :class:`repro.obs.trace.Tracer` /
@@ -202,14 +189,10 @@ class DistributorNode:
 
         For one-off licenses :meth:`issue_usage` stays the low-latency
         path; this is the bulk/serving path a distributor fronting heavy
-        consumer traffic would run.
+        consumer traffic would run.  To delegate admission to a remote
+        validation authority, drive a :class:`repro.net.client
+        .AdmissionClient` directly.
         """
-        if transport == "tcp":
-            return self._serve_stream_tcp(usages, address)
-        if transport != "local":
-            raise ValidationError(
-                f"unknown transport {transport!r}; choose 'local' or 'tcp'"
-            )
         from repro.service.service import ValidationService
 
         with ValidationService(
@@ -228,38 +211,6 @@ class DistributorNode:
             sum(outcome.accepted for outcome in outcomes),
         )
         return outcomes, service
-
-    def _serve_stream_tcp(self, usages, address):
-        """Delegate a stream to a remote admission server (see above)."""
-        import asyncio
-
-        from repro.net.client import AdmissionClient
-
-        if not address or len(address) != 2:
-            raise ValidationError(
-                "transport='tcp' needs address=(host, port)"
-            )
-        host, port = address
-
-        async def _run():
-            async with AdmissionClient(host, int(port)) as client:
-                return await client.request_many(list(usages))
-
-        outcomes = asyncio.run(_run())
-        for outcome in outcomes:
-            if outcome.accepted:
-                self._log.record(
-                    outcome.license_set, outcome.count, outcome.usage_id
-                )
-        logger.info(
-            "node %s served %d request(s) via %s:%s: %d accepted",
-            self.name,
-            len(outcomes),
-            host,
-            port,
-            sum(outcome.accepted for outcome in outcomes),
-        )
-        return outcomes, None
 
     def health_probe(self) -> dict:
         """Answer a health-probe message from the latest monitor state.

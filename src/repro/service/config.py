@@ -17,17 +17,7 @@ from repro.validation.limits import DEFAULT_KERNEL_CAP, DENSE_TABLE_MAX_N
 __all__ = ["ServiceConfig", "EXECUTOR_BACKENDS"]
 
 #: Recognized executor backends (see :mod:`repro.service.executor`).
-#: ``process`` is a deprecated alias for ``resident``;
-#: ``process-roundtrip`` is the pre-resident per-drain pickle backend,
-#: kept for one release so the parity suite can pin all four real
-#: backends byte-identical.
-EXECUTOR_BACKENDS = (
-    "serial",
-    "thread",
-    "process",
-    "process-roundtrip",
-    "resident",
-)
+EXECUTOR_BACKENDS = ("serial", "resident")
 
 
 @dataclass(frozen=True)
@@ -50,18 +40,14 @@ class ServiceConfig:
         raises :class:`repro.errors.ServiceOverloadedError` -- explicit
         backpressure instead of unbounded memory growth.
     executor:
-        ``"serial"`` (in-caller, zero overhead), ``"thread"`` (one pool
-        thread per shard; concurrency across groups, true parallelism on
-        free-threaded builds), ``"resident"`` (long-lived worker
-        processes that own their shards' state -- O(batch) IPC per
-        drain, shared-memory kernel planes for coordinator reads;
-        ``"process"`` is a deprecated alias), or ``"process-roundtrip"``
-        (the pre-resident backend: per-drain shard-state pickle
-        round-trips -- O(state) IPC; kept one release for parity
-        pinning).
+        ``"serial"`` (in-caller, zero overhead; the default) or
+        ``"resident"`` (long-lived worker processes that own their
+        shards' state -- O(batch) IPC per drain, shared-memory kernel
+        planes for coordinator reads).
     workers:
         Worker-process count for the resident backend; ``0`` (default)
-        means one worker per shard.  Ignored by other backends.
+        means one worker per shard.  Must stay ``0`` for the serial
+        backend, which has no workers.
     match_cache_size:
         LRU entries for instance-match memoization; 0 disables caching.
     latency_window:
@@ -108,6 +94,11 @@ class ServiceConfig:
         if self.workers < 0:
             raise ServiceError(
                 f"workers must be >= 0 (0 = one per shard), got {self.workers}"
+            )
+        if self.workers and self.executor != "resident":
+            raise ServiceError(
+                f"workers={self.workers} needs executor='resident'; "
+                f"the {self.executor!r} executor has no workers"
             )
         if self.match_cache_size < 0:
             raise ServiceError(

@@ -1,11 +1,10 @@
 """Resident shard workers: zero-copy process parallelism for drains.
 
-The round-trip process backend (:class:`repro.service.executor
-.ProcessExecutor`) pickles every busy shard's *entire* state out and
-back on every drain -- including the dense kernel's ``C``/``H`` int64
-tables, up to ``2 x 8 MiB`` per group at ``kernel_cap=20`` -- so its
-per-drain cost is O(state), not O(batch).  This module replaces that
-with **resident workers**:
+Shipping a busy shard to a stateless worker process would pickle its
+*entire* state out and back on every drain -- including the dense
+kernel's ``C``/``H`` int64 tables, up to ``2 x 8 MiB`` per group at
+``kernel_cap=20`` -- an O(state) cost per drain.  This module avoids
+that with **resident workers**:
 
 * Each long-lived worker process permanently owns a fixed set of
   shards, rebuilt in-worker once at startup from a
@@ -25,7 +24,7 @@ with **resident workers**:
 Ownership and ordering contract (see DESIGN.md "Serving architecture"):
 
 * A shard is mutated by exactly one worker, always from its message
-  loop -- per-shard serialization is structural, as in every other
+  loop -- per-shard serialization is structural, as in the serial
   backend, so verdict streams are byte-identical to serial.
 * Drains are two-phase: the coordinator sends every involved worker its
   batch first, then collects every reply, so workers run concurrently.

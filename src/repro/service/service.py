@@ -39,7 +39,7 @@ Examples
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import ServiceError, ServiceOverloadedError, ValidationError
 from repro.core.incremental import GroupSlice
@@ -61,7 +61,7 @@ from repro.obs.trace import NULL_SPAN, Tracer
 from repro.online.session import IssuanceOutcome
 from repro.service.cache import GroupTables, MatchCache
 from repro.service.config import ServiceConfig
-from repro.service.executor import make_executor, resolve_backend
+from repro.service.executor import SerialExecutor
 from repro.service.metrics import MetricsRegistry
 from repro.service.shard import (
     GroupShard,
@@ -72,6 +72,7 @@ from repro.service.shard import (
 
 if TYPE_CHECKING:  # pragma: no cover - import for annotations only
     from repro.obs.monitor import Monitor
+    from repro.service.resident import ResidentProcessExecutor
 
 __all__ = ["ValidationService"]
 
@@ -142,15 +143,13 @@ class ValidationService:
             on_evict=self._on_cache_evict if events is not None else None,
         )
         self._shard_count = min(self.config.shards, self._tables.group_count)
-        #: Canonical executor backend (``process`` resolves to
-        #: ``resident``); drives plane allocation and spec shipping.
-        self._backend = resolve_backend(self.config.executor)
+        resident = self.config.executor == "resident"
         # Resident backend + dense kernel: back each eligible group's
         # C/H tables with coordinator-owned shared-memory planes.  The
         # coordinator's own slices get the *create*-mode views (its
         # reads are zero-copy); workers attach by name via ShardSpec.
         self._plane_allocator: Optional[KernelPlaneAllocator] = None
-        if self._backend == "resident" and self.config.kernel == KERNEL_DENSE:
+        if resident and self.config.kernel == KERNEL_DENSE:
             self._plane_allocator = KernelPlaneAllocator(shared=True)
         slices_by_shard: Dict[int, Dict[int, GroupSlice]] = {
             shard_id: {} for shard_id in range(self._shard_count)
@@ -204,14 +203,16 @@ class ValidationService:
         # preload log (and the shared planes must already hold it).
         if initial_log is not None:
             self._replay(initial_log)
-        if self._backend == "resident":
-            self._executor = make_executor(
-                self._backend,
-                self.config.workers or self._shard_count,
-                specs=self._build_specs(),
+        self._executor: Union[SerialExecutor, "ResidentProcessExecutor"]
+        if resident:
+            # Imported here so serial services never load multiprocessing.
+            from repro.service.resident import ResidentProcessExecutor
+
+            self._executor = ResidentProcessExecutor(
+                self._build_specs(), self.config.workers or self._shard_count
             )
         else:
-            self._executor = make_executor(self._backend, self._shard_count)
+            self._executor = SerialExecutor()
         self.monitor = monitor
         if monitor is not None:
             monitor.attach(self)
@@ -261,9 +262,8 @@ class ValidationService:
 
     @property
     def executor_backend(self) -> str:
-        """Return the canonical executor backend actually running
-        (``process`` resolves to ``resident``)."""
-        return self._backend
+        """Return ``config.executor`` (read by ``perfbench/launcher.py``)."""
+        return self.config.executor
 
     def kernel_occupancy(self) -> Dict[int, Dict[str, int]]:
         """Return ``{group_id: occupancy}`` for every dense-kernel group.
@@ -551,11 +551,7 @@ class ValidationService:
                 self.metrics.counter("ipc_bytes_shipped_total").inc(
                     amount=shipped
                 )
-            # The round-trip backend hands back mutated shard copies via
-            # the `busy` list; re-adopt so the next drain sees current
-            # state (a no-op for the in-process and resident backends).
             for shard in busy:
-                self._shards[shard.shard_id] = shard
                 self.metrics.gauge("queue_depth").set(
                     shard.depth, (f"shard{shard.shard_id}",)
                 )

@@ -86,7 +86,7 @@ class ShardResult:
 @dataclass(frozen=True)
 class RevalidationTiming:
     """Timing of one per-group incremental revalidation (plain data, so
-    it survives the pickle round-trip of the process executor)."""
+    resident workers can ship it back to the coordinator)."""
 
     group_id: int
     equations_checked: int
@@ -329,8 +329,8 @@ class GroupShard:
     def process_pending(self) -> Tuple[List[ShardResult], ShardStats]:
         """Drain the queue in batches; return verdicts + batch accounting.
 
-        Safe to run on a worker thread/process: only this shard's slices
-        are touched.  FIFO order is preserved, so verdicts depend only on
+        Safe to run in a worker process: only this shard's slices are
+        touched.  FIFO order is preserved, so verdicts depend only on
         the submission order within each group.
         """
         results: List[ShardResult] = []

@@ -15,7 +15,6 @@ from repro.net import protocol
 from repro.net.client import AdmissionClient
 from repro.net.loadgen import LoadGenerator, LoadgenConfig
 from repro.net.server import AdmissionServer, WireServerConfig
-from repro.network.node import DistributorNode
 from repro.service import ServiceConfig, ValidationService
 
 
@@ -142,55 +141,3 @@ class TestRoundTripAudit:
         checked, disagreements = cross_check(pool, round_tripped)
         assert checked == len(stream)
         assert disagreements == []
-
-
-class TestNodeTransport:
-    def test_tcp_transport_matches_local(self, workload):
-        pool, stream = workload
-
-        node_local = DistributorNode("local")
-        for lic in pool:
-            node_local.receive(lic)
-        local_out, local_service = node_local.serve_stream(list(stream))
-        assert local_service is not None
-
-        async def scenario():
-            service = ValidationService(pool, ServiceConfig())
-            server = AdmissionServer(service, WireServerConfig())
-            host, port = await server.start()
-
-            node_tcp = DistributorNode("tcp")
-            for lic in pool:
-                node_tcp.receive(lic)
-
-            # serve_stream(transport="tcp") calls asyncio.run itself, so
-            # hop it onto a worker thread from this loop.
-            def drive():
-                return node_tcp.serve_stream(
-                    list(stream), transport="tcp", address=(host, port)
-                )
-
-            outcomes, returned_service = await asyncio.to_thread(drive)
-            await server.shutdown()
-            service.close()
-            return node_tcp, outcomes, returned_service
-
-        node_tcp, tcp_out, returned_service = run(scenario())
-        assert returned_service is None
-        assert signature(tcp_out) == signature(local_out)
-        assert len(node_tcp.log) == sum(o.accepted for o in tcp_out)
-        assert list(node_tcp.log) == list(node_local.log)
-
-    def test_unknown_transport_rejected(self, workload):
-        import pytest
-
-        from repro.errors import ValidationError
-
-        pool, stream = workload
-        node = DistributorNode("n")
-        for lic in pool:
-            node.receive(lic)
-        with pytest.raises(ValidationError, match="transport"):
-            node.serve_stream(list(stream), transport="carrier-pigeon")
-        with pytest.raises(ValidationError, match="address"):
-            node.serve_stream(list(stream), transport="tcp")

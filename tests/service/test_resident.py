@@ -17,7 +17,6 @@ from repro.errors import ServiceError
 from repro.core.kernel import KernelPlane
 from repro.logstore.log import ValidationLog
 from repro.service import ServiceConfig, ValidationService
-from repro.service.executor import ProcessExecutor, make_executor, resolve_backend
 from repro.service.resident import (
     ResidentProcessExecutor,
     decode_request,
@@ -151,20 +150,6 @@ class TestResidentService:
         ) as resident:
             actual = signatures(resident.process(stream))
         assert actual == expected
-
-    def test_process_alias_resolves_to_resident(self, workload):
-        pool, _stream = workload
-        assert resolve_backend("process") == "resident"
-        with ValidationService(
-            pool, ServiceConfig(executor="process")
-        ) as service:
-            assert service.executor_backend == "resident"
-            assert isinstance(service._executor, ResidentProcessExecutor)
-        with ValidationService(
-            pool, ServiceConfig(executor="process-roundtrip")
-        ) as service:
-            assert service.executor_backend == "process-roundtrip"
-            assert isinstance(service._executor, ProcessExecutor)
 
     def test_worker_count_clamped_and_configurable(self, workload):
         pool, _stream = workload
@@ -316,8 +301,8 @@ class TestResidentService:
             assert all(timing is not None for timing in timings)
 
     def test_executor_requires_specs(self):
-        with pytest.raises(ServiceError):
-            make_executor("resident", 2)
+        with pytest.raises(ServiceError, match="shard spec"):
+            ResidentProcessExecutor([], 2)
 
     def test_startup_failure_surfaces_worker_error(self, workload):
         pool, _stream = workload

@@ -281,6 +281,15 @@ class TestServeBenchObservability:
         assert sum(k in ("admission", "rejection") for k in kinds) == 80
 
 
+class TestExecutorChoices:
+    @pytest.mark.parametrize("command", ["serve-bench", "serve"])
+    def test_removed_backend_is_an_argparse_error(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--executor", "thread"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'thread'" in capsys.readouterr().err
+
+
 class TestServeBenchKernel:
     def test_rejects_unknown_kernel(self):
         with pytest.raises(SystemExit):
