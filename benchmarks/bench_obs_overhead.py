@@ -92,7 +92,10 @@ def _time_min_interleaved(fns, repeats=REPEATS):
 def _service_run(pool, stream, tracer, monitor=None):
     service = ValidationService(
         pool,
-        ServiceConfig(shards=4, batch_size=32, queue_capacity=512),
+        # kernel_cap=0: the tree path, which the committed rows measured.
+        ServiceConfig(
+            shards=4, batch_size=32, queue_capacity=512, kernel_cap=0
+        ),
         tracer=tracer,
         monitor=monitor,
     )

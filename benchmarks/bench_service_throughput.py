@@ -60,8 +60,16 @@ def _workload():
     return pool, stream
 
 
-def _run(pool, stream, shards, batch, executor, repeats=REPEATS, kernel="tree"):
+#: ``kernel_cap`` per engine: 0 is the tree path, the default serves
+#: every group of this workload on the dense kernel.
+KERNEL_CAPS = {"tree": 0, "dense": ServiceConfig().kernel_cap}
+
+
+def _run(pool, stream, shards, batch, executor, repeats=REPEATS, kernel_cap=0):
     """Run the stream through a fresh service ``repeats`` times.
+
+    The sweeps keep the default ``kernel_cap=0`` (the tree path), so
+    their rows stay comparable with the committed ones.
 
     Returns plain scalars only (never the service object itself) so the
     sweep loops do not keep earlier runs' shard trees and histogram
@@ -78,7 +86,7 @@ def _run(pool, stream, shards, batch, executor, repeats=REPEATS, kernel="tree"):
                 batch_size=batch,
                 queue_capacity=max(64, STREAM // 4),
                 executor=executor,
-                kernel=kernel,
+                kernel_cap=kernel_cap,
             ),
         )
         started = time.perf_counter()
@@ -255,8 +263,8 @@ def test_resident_ipc(report, bench_json):
 
     Two proofs, both deterministic:
 
-    * the *same workload* served with ``kernel="tree"`` vs
-      ``kernel="dense"`` ships per-drain traffic equal to within pickle
+    * the *same workload* served on the tree path (``kernel_cap=0``)
+      and on the dense kernel ships per-drain traffic equal to within pickle
       integer-width jitter (the dense stats reply carries larger
       ``kernel_fast_path_hits`` counters, a few bytes), even though the
       dense configuration keeps up to ``2 x 8 * 2^{N_k}`` bytes of
@@ -269,9 +277,9 @@ def test_resident_ipc(report, bench_json):
     by_kernel = {
         kernel: _run(
             pool, stream, shards=4, batch=32, executor="resident",
-            kernel=kernel,
+            kernel_cap=kernel_cap,
         )
-        for kernel in ("tree", "dense")
+        for kernel, kernel_cap in KERNEL_CAPS.items()
     }
     parity = all(
         run["verdicts"] == serial["verdicts"] for run in by_kernel.values()

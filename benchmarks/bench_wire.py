@@ -52,6 +52,9 @@ CONCURRENCY = 4
 #: Open-loop arrival rate (requests/second).  Far below the closed-loop
 #: ceiling so the open run measures latency, not saturation collapse.
 OPEN_RATE = 1500.0 if SMOKE else 3000.0
+#: Service config of every run; ``kernel_cap=0`` keeps the tree path,
+#: which the committed rows measured.
+CONFIG = ServiceConfig(shards=4, batch_size=32, kernel_cap=0)
 
 
 def _workload():
@@ -79,9 +82,7 @@ def _signature(outcomes):
 
 async def _with_server(pool, run, *, tracer=None, timing_echo=True):
     """Start a fresh service+server, run ``run(host, port)``, drain."""
-    service = ValidationService(
-        pool, ServiceConfig(shards=4, batch_size=32), tracer=tracer
-    )
+    service = ValidationService(pool, CONFIG, tracer=tracer)
     server = AdmissionServer(
         service,
         # Window sized to the whole stream: backpressure never triggers,
@@ -118,7 +119,7 @@ def test_wire_end_to_end(report, bench_json):
     pool, stream = _workload()
 
     # In-process reference: the same stream through the bare service.
-    service = ValidationService(pool, ServiceConfig(shards=4, batch_size=32))
+    service = ValidationService(pool, CONFIG)
     reference = _signature(service.process(stream))
     accepted_reference = sum(
         1 for line in reference if json.loads(line)["accepted"]

@@ -77,6 +77,7 @@ from repro.core.validator import GroupedValidator
 from repro.licenses.rel import dumps_pool, loads_pool
 from repro.logstore.io import dump_log, load_log
 from repro.service.config import EXECUTOR_BACKENDS
+from repro.validation.limits import DEFAULT_KERNEL_CAP
 from repro.validation.naive import ExpansionValidator, ScanValidator
 from repro.validation.tree import ValidationTree
 from repro.validation.tree_validator import TreeValidator
@@ -158,8 +159,12 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--stream", type=int, default=400)
     simulate.add_argument("--seed", type=int, default=0)
 
+    # No prefix matching on the two serving commands: the removed
+    # ``--kernel`` must not parse as an abbreviation of ``--kernel-cap``.
     serve = commands.add_parser(
-        "serve-bench", help="drive a workload through the validation service"
+        "serve-bench",
+        help="drive a workload through the validation service",
+        allow_abbrev=False,
     )
     serve.add_argument("-n", "--licenses", type=int, default=24)
     serve.add_argument("--stream", type=int, default=1000)
@@ -180,15 +185,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--queue-capacity", type=int, default=256)
     serve.add_argument(
-        "--kernel", choices=["tree", "dense"], default="tree",
-        help="per-group equation engine: 'tree' walks the validation tree "
-             "of [10]; 'dense' keeps resident headroom tables for O(1) "
-             "admission (identical verdicts, different cost model)",
-    )
-    serve.add_argument(
-        "--kernel-cap", type=int, default=None, metavar="N",
-        help="largest group size served by the dense kernel; bigger "
-             "groups fall back to the tree walk (default 20)",
+        "--kernel-cap", type=int, default=DEFAULT_KERNEL_CAP, metavar="N",
+        help="largest group size served by the dense headroom kernel "
+             "(O(1) admission); bigger groups fall back to the "
+             "validation-tree walk, and 0 serves every group on the tree "
+             "(identical verdicts, different cost model; default "
+             f"{DEFAULT_KERNEL_CAP})",
     )
     serve.add_argument("--clusters", type=int, default=8)
     serve.add_argument("--skew", type=float, default=0.0)
@@ -235,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     wire = commands.add_parser(
-        "serve", help="run the wire-level admission server"
+        "serve", help="run the wire-level admission server", allow_abbrev=False
     )
     wire.add_argument("-n", "--licenses", type=int, default=24)
     wire.add_argument("--seed", type=int, default=0)
@@ -254,8 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="resident-backend worker processes (0 = one per shard)",
     )
     wire.add_argument("--queue-capacity", type=int, default=256)
-    wire.add_argument("--kernel", choices=["tree", "dense"], default="tree")
-    wire.add_argument("--kernel-cap", type=int, default=None, metavar="N")
+    wire.add_argument(
+        "--kernel-cap", type=int, default=DEFAULT_KERNEL_CAP, metavar="N"
+    )
     wire.add_argument("--host", default="127.0.0.1")
     wire.add_argument(
         "--port", type=int, default=0,
@@ -687,10 +690,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             )
         monitor = Monitor(MonitorConfig(**config_kwargs), events=events)
 
-    kernel_kwargs = {"kernel": args.kernel}
-    if args.kernel_cap is not None:
-        kernel_kwargs["kernel_cap"] = args.kernel_cap
-
     def run(shards: int, executor: str, *, observed: bool = False):
         service = ValidationService(
             pool,
@@ -700,7 +699,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                 queue_capacity=args.queue_capacity,
                 executor=executor,
                 workers=args.workers,
-                **kernel_kwargs,
+                kernel_cap=args.kernel_cap,
             ),
             tracer=tracer if observed else None,
             events=events if observed else None,
@@ -767,7 +766,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                     "batch": args.batch,
                     "executor": service.config.executor,
                     "workers": args.workers,
-                    "kernel": args.kernel,
+                    "kernel_cap": service.config.kernel_cap,
                     "clusters": args.clusters,
                     "skew": args.skew,
                 },
@@ -844,9 +843,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         from repro.obs.monitor import Monitor, MonitorConfig
 
         monitor = Monitor(MonitorConfig(), events=events)
-    kernel_kwargs = {"kernel": args.kernel}
-    if args.kernel_cap is not None:
-        kernel_kwargs["kernel_cap"] = args.kernel_cap
     service = ValidationService(
         pool,
         ServiceConfig(
@@ -855,7 +851,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             queue_capacity=args.queue_capacity,
             executor=args.executor,
             workers=args.workers,
-            **kernel_kwargs,
+            kernel_cap=args.kernel_cap,
         ),
         tracer=tracer,
         events=events,

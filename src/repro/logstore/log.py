@@ -4,15 +4,31 @@ This is the paper's Table 2 as a data structure.  Besides raw records the
 log maintains the aggregated *set counts* ``C[S]`` (sum of permission counts
 of all records whose set equals ``S``), which is what every validation
 engine consumes.
+
+Records are stored in three columns rather than as objects: the license
+set (one shared frozenset per distinct set), the count and the issued
+id.  That costs about 26 bytes per record, ids aside, where a record
+object with its own frozenset took ~640; it matters for a serving log
+that grows with every accepted request.  :class:`LogRecord` objects are
+built on the way out.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional
+from array import array
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    MutableSequence,
+    Optional,
+)
 
 from repro.errors import LogError
 from repro.licenses.license import UsageLicense
-from repro.logstore.record import LogRecord
+from repro.logstore.record import LogRecord, trusted_record
 
 __all__ = ["ValidationLog"]
 
@@ -32,8 +48,15 @@ class ValidationLog:
     """
 
     def __init__(self, records: Iterable[LogRecord] = ()):
-        self._records: List[LogRecord] = []
+        # Column per field; row i is record i.
+        self._sets: List[FrozenSet[int]] = []
+        # int64 until a count overflows it, then a plain list.
+        self._record_counts: MutableSequence[int] = array("q")
+        self._ids: List[Optional[str]] = []
         self._counts: Dict[FrozenSet[int], int] = {}
+        # The key object ``_counts`` holds for each set, so equal sets
+        # share one frozenset across the set column.
+        self._shared: Dict[FrozenSet[int], FrozenSet[int]] = {}
         self._total = 0
         for record in records:
             self.append(record)
@@ -45,11 +68,17 @@ class ValidationLog:
         """Append one record, updating the aggregated counts."""
         if not isinstance(record, LogRecord):
             raise LogError(f"expected LogRecord, got {type(record).__name__}")
-        self._records.append(record)
-        self._counts[record.license_set] = (
-            self._counts.get(record.license_set, 0) + record.count
-        )
-        self._total += record.count
+        license_set, count = record.license_set, record.count
+        shared = self._shared.setdefault(license_set, license_set)
+        self._sets.append(shared)
+        try:
+            self._record_counts.append(count)
+        except OverflowError:
+            self._record_counts = list(self._record_counts)
+            self._record_counts.append(count)
+        self._ids.append(record.issued_id)
+        self._counts[shared] = self._counts.get(shared, 0) + count
+        self._total += count
 
     def record(
         self,
@@ -124,7 +153,7 @@ class ValidationLog:
         revoked = set(issued_ids)
         return ValidationLog(
             record
-            for record in self._records
+            for record in self
             if record.issued_id is None or record.issued_id not in revoked
         )
 
@@ -132,16 +161,20 @@ class ValidationLog:
     # Sequence protocol
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._sets)
 
     def __iter__(self) -> Iterator[LogRecord]:
-        return iter(self._records)
+        return map(trusted_record, self._sets, self._record_counts, self._ids)
 
     def __getitem__(self, position: int) -> LogRecord:
-        return self._records[position]
+        return trusted_record(
+            self._sets[position],
+            self._record_counts[position],
+            self._ids[position],
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (
-            f"ValidationLog(records={len(self._records)}, "
+            f"ValidationLog(records={len(self._sets)}, "
             f"distinct_sets={len(self._counts)}, total={self._total})"
         )

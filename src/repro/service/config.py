@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ServiceError
-from repro.core.kernel import KERNEL_NAMES, KERNEL_TREE
 from repro.validation.limits import DEFAULT_KERNEL_CAP, DENSE_TABLE_MAX_N
 
 __all__ = ["ServiceConfig", "EXECUTOR_BACKENDS"]
@@ -53,16 +52,14 @@ class ServiceConfig:
     latency_window:
         Sample window of the latency histogram (exact quantiles are
         computed over the most recent this-many requests).
-    kernel:
-        Per-group equation engine: ``"tree"`` (the validation-tree walk
-        of [10], the default) or ``"dense"`` (the resident-table
-        :class:`repro.core.kernel.DenseHeadroomKernel` -- O(1) admission
-        headroom, delta revalidation).  Verdict streams are
-        byte-identical for both; only the cost model differs.
     kernel_cap:
-        Largest ``N_k`` served by the dense kernel; groups above it fall
-        back to the tree walk (counted by the ``kernel_fallback``
-        metric).  Bounded by
+        Largest ``N_k`` served by the dense headroom kernel
+        (:class:`repro.core.kernel.DenseHeadroomKernel` -- O(1)
+        admission headroom, delta revalidation).  Groups above it fall
+        back to the validation-tree walk of [10] (counted by the
+        ``kernel_fallback`` metric); ``0`` serves every group on the
+        tree.  Verdict streams are byte-identical either way; only the
+        cost model differs.  Bounded by
         :data:`repro.validation.limits.DENSE_TABLE_MAX_N`, the shared
         ceiling for every dense per-mask table.
     """
@@ -74,7 +71,6 @@ class ServiceConfig:
     workers: int = 0
     match_cache_size: int = 4096
     latency_window: int = 65536
-    kernel: str = KERNEL_TREE
     kernel_cap: int = DEFAULT_KERNEL_CAP
 
     def __post_init__(self) -> None:
@@ -107,11 +103,6 @@ class ServiceConfig:
         if self.latency_window < 1:
             raise ServiceError(
                 f"latency_window must be >= 1, got {self.latency_window}"
-            )
-        if self.kernel not in KERNEL_NAMES:
-            raise ServiceError(
-                f"unknown kernel {self.kernel!r}; "
-                f"choose from {', '.join(KERNEL_NAMES)}"
             )
         if not 0 <= self.kernel_cap <= DENSE_TABLE_MAX_N:
             raise ServiceError(

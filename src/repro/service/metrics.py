@@ -30,9 +30,9 @@ Examples
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, insort
-from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ServiceError
 from repro.obs.quantiles import nearest_rank
@@ -127,31 +127,37 @@ class Histogram:
         self.name = name
         self._emit = emit
         self._max = max_samples
-        self._sorted: List[float] = []
-        # Insertion order for window eviction; a deque so evicting the
-        # oldest sample is O(1) instead of list.pop(0)'s O(n).
-        self._order: Deque[float] = deque()
+        # Both buffers hold raw float64s (16 B per sample in all).
+        self._sorted = array("d")
+        # Insertion order for window eviction, as a ring: once full, the
+        # newest sample overwrites the oldest at ``_head`` in O(1).
+        self._ring = array("d")
+        self._head = 0
         self.count = 0
         self.sum = 0.0
         self.window_sum = 0.0
 
     def observe(self, value: float) -> None:
         """Record one sample."""
+        value = float(value)
         self.count += 1
-        self.sum += float(value)
-        self.window_sum += float(value)
-        insort(self._sorted, float(value))
-        self._order.append(float(value))
-        if len(self._order) > self._max:
-            oldest = self._order.popleft()
+        self.sum += value
+        self.window_sum += value
+        insort(self._sorted, value)
+        if len(self._ring) < self._max:
+            self._ring.append(value)
+        else:
+            oldest = self._ring[self._head]
+            self._ring[self._head] = value
+            self._head = (self._head + 1) % self._max
             self._sorted.pop(bisect_left(self._sorted, oldest))
             self.window_sum -= oldest
-        self._emit(self.name, _NO_LABELS, float(value))
+        self._emit(self.name, _NO_LABELS, value)
 
     @property
     def window_count(self) -> int:
         """Return how many samples the sliding window currently holds."""
-        return len(self._order)
+        return len(self._ring)
 
     def quantile(self, q: float) -> float:
         """Return the ``q``-quantile (nearest-rank) of the current window.

@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import ServiceError, ServiceOverloadedError, ValidationError
 from repro.core.incremental import GroupSlice
-from repro.core.kernel import KERNEL_DENSE, KernelPlane, KernelPlaneAllocator
+from repro.core.kernel import KernelPlane, KernelPlaneAllocator
 from repro.licenses.license import UsageLicense
 from repro.licenses.pool import LicensePool
 from repro.logstore.log import ValidationLog
@@ -68,6 +68,7 @@ from repro.service.shard import (
     ShardRequest,
     ShardResult,
     ShardSpec,
+    serving_kernel,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import for annotations only
@@ -144,13 +145,14 @@ class ValidationService:
         )
         self._shard_count = min(self.config.shards, self._tables.group_count)
         resident = self.config.executor == "resident"
-        # Resident backend + dense kernel: back each eligible group's
-        # C/H tables with coordinator-owned shared-memory planes.  The
-        # coordinator's own slices get the *create*-mode views (its
-        # reads are zero-copy); workers attach by name via ShardSpec.
+        # Resident backend: back each dense group's C/H tables with
+        # coordinator-owned shared-memory planes.  The coordinator's own
+        # slices get the *create*-mode views (its reads are zero-copy);
+        # workers attach by name via ShardSpec.
         self._plane_allocator: Optional[KernelPlaneAllocator] = None
-        if resident and self.config.kernel == KERNEL_DENSE:
+        if resident:
             self._plane_allocator = KernelPlaneAllocator(shared=True)
+        kernel = serving_kernel(self.config.kernel_cap)
         slices_by_shard: Dict[int, Dict[int, GroupSlice]] = {
             shard_id: {} for shard_id in range(self._shard_count)
         }
@@ -166,7 +168,7 @@ class ValidationService:
                 self._tables.structure,
                 self._tables.aggregates,
                 group_id,
-                kernel=self.config.kernel,
+                kernel=kernel,
                 kernel_cap=self.config.kernel_cap,
                 planes=planes,
             )
@@ -630,7 +632,6 @@ class ValidationService:
                 group_ids=shard.group_ids,
                 batch_size=self.config.batch_size,
                 queue_capacity=self.config.queue_capacity,
-                kernel=self.config.kernel,
                 kernel_cap=self.config.kernel_cap,
                 structure=self._tables.structure,
                 aggregates=tuple(self._tables.aggregates),

@@ -27,7 +27,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 from repro.errors import ServiceError, ServiceOverloadedError
 from repro.core.grouping import GroupStructure
 from repro.core.incremental import GroupSlice
-from repro.core.kernel import KERNEL_DENSE, KernelPlane
+from repro.core.kernel import KERNEL_DENSE, KERNEL_TREE, KernelPlane
 
 __all__ = [
     "BatchTiming",
@@ -37,10 +37,22 @@ __all__ = [
     "ShardResult",
     "ShardSpec",
     "ShardStats",
+    "serving_kernel",
 ]
 
 #: Rejection reason reported for headroom shortfalls at admission.
 REASON_EQUATION = "equation"
+
+
+def serving_kernel(kernel_cap: int) -> str:
+    """Return the engine a service's slices ask for under ``kernel_cap``.
+
+    Any positive cap asks for the dense kernel, and each slice then
+    falls back to the tree walk on its own when its ``N_k`` exceeds the
+    cap.  A cap of 0 is the tree serving path: no slice asks for the
+    dense kernel, so none counts as a fallback.
+    """
+    return KERNEL_DENSE if kernel_cap else KERNEL_TREE
 
 
 @dataclass(frozen=True)
@@ -146,7 +158,6 @@ class ShardSpec:
     group_ids: Tuple[int, ...]
     batch_size: int
     queue_capacity: int
-    kernel: str
     kernel_cap: int
     structure: GroupStructure
     aggregates: Tuple[int, ...]
@@ -222,7 +233,7 @@ class GroupShard:
                 spec.structure,
                 list(spec.aggregates),
                 group_id,
-                kernel=spec.kernel,
+                kernel=serving_kernel(spec.kernel_cap),
                 kernel_cap=spec.kernel_cap,
                 planes=planes,
                 adopt_planes=planes is not None,

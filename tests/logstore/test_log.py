@@ -89,3 +89,63 @@ class TestTable2:
         assert len(log) == 6
         assert log.distinct_sets == 5
         assert log.total_count == 2090
+
+
+class TestColumnarStorage:
+    """The log keeps columns, not record objects (memory regressions)."""
+
+    def test_equal_sets_share_one_frozenset(self):
+        log = ValidationLog()
+        log.record({1, 2}, 5)
+        log.record([2, 1], 7)
+        log.append(LogRecord(frozenset({1, 2}), 9))
+        log.record({3}, 1)
+        first = log[0].license_set
+        assert all(record.license_set is first for record in list(log)[:3])
+        assert log[3].license_set is not first
+
+    def test_records_have_no_instance_dict(self):
+        log = ValidationLog()
+        log.record({1, 2}, 5, "u1")
+        assert not hasattr(LogRecord(frozenset({1}), 1), "__dict__")
+        assert not hasattr(log[0], "__dict__")
+        assert not hasattr(next(iter(log)), "__dict__")
+
+    def test_memory_per_record_excluding_ids(self):
+        import tracemalloc
+
+        n = 20_000
+        sets = [frozenset({1, 2}), frozenset({2, 3, 4}), frozenset({5})]
+        # Ids are allocated up front: their strings are the caller's.
+        ids = [f"u{i}" for i in range(n)]
+        log = ValidationLog()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i, issued_id in enumerate(ids):
+                log.record(sets[i % 3], 1 + i % 500, issued_id)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(log) == n
+        assert grown / n <= 32, f"{grown / n:.1f} B per record"
+
+    def test_stored_records_round_trip(self):
+        records = [
+            LogRecord(frozenset({1, 2}), 3, "a"),
+            LogRecord(frozenset({2}), 4),
+            LogRecord(frozenset({1, 2}), 5, "c"),
+        ]
+        log = ValidationLog(records)
+        assert list(log) == records
+        assert log[-1] == records[-1]
+        assert list(log.without(["a"])) == records[1:]
+
+    def test_counts_beyond_int64_stay_exact(self):
+        log = ValidationLog()
+        log.record({1}, 3)
+        log.record({1}, 2**70, "big")
+        log.record({2}, 4)
+        assert [record.count for record in log] == [3, 2**70, 4]
+        assert log.set_count({1}) == 2**70 + 3
+        assert log.total_count == 2**70 + 7

@@ -84,7 +84,7 @@ class TestVerdictParity:
         for kwargs in (
             {"shards": 1},
             {"shards": 4},
-            {"kernel": "dense"},
+            {"kernel_cap": 0},
         ):
             wire, _ = serve_over_wire(
                 pool, stream, pipelined=True, **kwargs

@@ -62,8 +62,8 @@ service_configs = st.fixed_dictionaries(
         "shards": st.integers(1, 6),
         "batch_size": st.sampled_from([1, 4, 32]),
         "queue_capacity": st.sampled_from([4, 64, 1024]),
-        "kernel": st.sampled_from(["tree", "dense"]),
-        "kernel_cap": st.sampled_from([3, 20]),
+        # 0 is the tree path; 3 mixes dense and fallback groups.
+        "kernel_cap": st.sampled_from([0, 3, 20]),
     }
 )
 
@@ -105,17 +105,15 @@ class TestAllBackendParity:
     )
     @given(
         params=workload_params,
-        kernel=st.sampled_from(["tree", "dense"]),
+        engine=st.sampled_from([{"kernel_cap": 0}, {}]),
     )
-    def test_overload_burst_mid_stream(self, params, kernel):
+    def test_overload_burst_mid_stream(self, params, engine):
         """A queue_capacity small enough to overflow mid-stream forces
         ServiceOverloadedError-driven early drains; the verdict stream
         must still be identical across backends (overload never drops a
         request in process(), it only reorders *drains*)."""
         pool, stream = workload_for(**params)
-        config = dict(
-            shards=2, batch_size=4, queue_capacity=2, kernel=kernel
-        )
+        config = dict(shards=2, batch_size=4, queue_capacity=2, **engine)
         reference = serve(pool, stream, executor="serial", **config)
         for backend in ALL_BACKENDS[1:]:
             assert serve(pool, stream, executor=backend, **config) == (

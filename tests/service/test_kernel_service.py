@@ -1,12 +1,12 @@
 """Service-level dense-kernel seam: parity, fallback, and telemetry.
 
-The dense headroom kernel must be invisible in verdict space: serving
-the same stream with ``kernel="dense"`` produces a byte-identical
-outcome stream for every batch size, including the vectorized
-batch-prefetch path and the cap-exceeded tree fallback.  The only
-observable differences are the new ``kernel_fast_path_hits`` /
-``kernel_fallback`` counters -- and those stay silent on pure-tree
-configs so existing metric surfaces are untouched.
+The dense headroom kernel (the default engine) must be invisible in
+verdict space: serving the same stream with the default config produces
+an outcome stream byte-identical to the tree path (``kernel_cap=0``) for
+every batch size, including the vectorized batch-prefetch path and the
+cap-exceeded tree fallback.  The only observable differences are the
+``kernel_fast_path_hits`` / ``kernel_fallback`` counters -- and those
+stay silent on the tree path so its metric surface is untouched.
 """
 
 import pytest
@@ -42,10 +42,17 @@ def serve(pool, stream, **config_kwargs):
     return outcomes, service
 
 
+def smallest_group(pool):
+    """Return the smallest ``N_k``; a cap below it sends every group to
+    the tree fallback."""
+    with ValidationService(pool, ServiceConfig(kernel_cap=0)) as service:
+        return min(service.group_sizes)
+
+
 @pytest.fixture(scope="module")
 def reference(workload):
     pool, stream = workload
-    outcomes, _ = serve(pool, stream, kernel="tree", batch_size=1)
+    outcomes, _ = serve(pool, stream, kernel_cap=0, batch_size=1)
     return [(o.accepted, o.rejection_reason) for o in outcomes]
 
 
@@ -55,9 +62,7 @@ class TestVerdictParity:
         self, workload, reference, batch_size
     ):
         pool, stream = workload
-        outcomes, _ = serve(
-            pool, stream, kernel="dense", batch_size=batch_size, shards=3
-        )
+        outcomes, _ = serve(pool, stream, batch_size=batch_size, shards=3)
         assert [
             (o.accepted, o.rejection_reason) for o in outcomes
         ] == reference
@@ -65,7 +70,7 @@ class TestVerdictParity:
     def test_fallback_config_matches_too(self, workload, reference):
         pool, stream = workload
         outcomes, _ = serve(
-            pool, stream, kernel="dense", kernel_cap=0, batch_size=16
+            pool, stream, kernel_cap=smallest_group(pool) - 1, batch_size=16
         )
         assert [
             (o.accepted, o.rejection_reason) for o in outcomes
@@ -75,7 +80,7 @@ class TestVerdictParity:
 class TestKernelTelemetry:
     def test_dense_counts_fast_path_hits(self, workload):
         pool, stream = workload
-        _, service = serve(pool, stream, kernel="dense", batch_size=16)
+        _, service = serve(pool, stream, batch_size=16)
         hits = service.metrics.counter("kernel_fast_path_hits").value()
         # Every shard-routed request was answered by the dense kernel;
         # instance rejections never reach a shard.
@@ -91,7 +96,7 @@ class TestKernelTelemetry:
     def test_cap_exceeded_counts_fallback(self, workload):
         pool, stream = workload
         _, service = serve(
-            pool, stream, kernel="dense", kernel_cap=0, batch_size=16
+            pool, stream, kernel_cap=smallest_group(pool) - 1, batch_size=16
         )
         assert service.metrics.counter("kernel_fallback").value() > 0
         assert (
@@ -100,15 +105,17 @@ class TestKernelTelemetry:
 
     def test_tree_config_stays_silent(self, workload):
         pool, stream = workload
-        _, service = serve(pool, stream, kernel="tree", batch_size=16)
+        _, service = serve(pool, stream, kernel_cap=0, batch_size=16)
         assert service.metrics.counter("kernel_fast_path_hits").value() == 0
         assert service.metrics.counter("kernel_fallback").value() == 0
 
 
 class TestConfigValidation:
     def test_unknown_kernel_rejected(self):
-        with pytest.raises(ServiceError):
-            ServiceConfig(kernel="gpu")
+        """The engine follows ``kernel_cap``; there is no ``kernel`` knob."""
+        for kernel in ("gpu", "tree", "dense"):
+            with pytest.raises(TypeError):
+                ServiceConfig(kernel=kernel)
 
     def test_kernel_cap_bounds(self):
         with pytest.raises(ServiceError):

@@ -126,26 +126,44 @@ class TestHistogram:
             MetricsRegistry().histogram("bad", max_samples=0)
 
     def test_window_eviction_is_constant_time(self):
-        """Regression: eviction must pop from a deque, not a list head.
+        """Regression: eviction must overwrite a ring slot, not pop a
+        list head.
 
         ``list.pop(0)`` on the insertion-order buffer made every observe
         beyond the window O(window).  The structural check (the buffer
-        really is a deque with O(1) popleft) is what pins the fix; the
-        behavioural sweep alongside it proves eviction order survived
-        the data-structure swap.
+        really is a fixed-size float64 ring whose oldest slot is
+        overwritten in O(1)) is what pins the fix; the behavioural sweep
+        alongside it proves eviction order survived the data-structure
+        swap.
         """
-        from collections import deque
+        from array import array
 
         hist = MetricsRegistry().histogram("windowed", max_samples=5)
-        assert isinstance(hist._order, deque)
+        assert isinstance(hist._ring, array) and hist._ring.typecode == "d"
+        assert isinstance(hist._sorted, array)
         for value in range(100):
             hist.observe(float(value))
         # Window holds exactly the 5 newest samples, in order.
-        assert list(hist._order) == [95.0, 96.0, 97.0, 98.0, 99.0]
-        assert hist._sorted == [95.0, 96.0, 97.0, 98.0, 99.0]
+        assert len(hist._ring) == 5
+        ring = list(hist._ring)
+        window = ring[hist._head:] + ring[: hist._head]
+        assert window == [95.0, 96.0, 97.0, 98.0, 99.0]
+        assert list(hist._sorted) == [95.0, 96.0, 97.0, 98.0, 99.0]
         assert hist.quantile(0.0) == 95.0
         assert hist.quantile(1.0) == 99.0
         assert hist.summary()["count"] == 100.0
+
+    def test_ring_wraps_mid_buffer(self):
+        """A sample count that is not a multiple of the window leaves the
+        ring's oldest slot mid-buffer; the window must still be the
+        newest samples."""
+        hist = MetricsRegistry().histogram("wrapped", max_samples=5)
+        for value in range(7):
+            hist.observe(float(value))
+        assert hist.window_count == 5
+        assert hist.window_sum == 20.0
+        assert list(hist._sorted) == [2.0, 3.0, 4.0, 5.0, 6.0]
+        assert hist.quantile(0.0) == 2.0
 
     def test_window_eviction_with_duplicate_samples(self):
         """Duplicates: evicting one copy must leave the others counted."""

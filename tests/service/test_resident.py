@@ -52,6 +52,10 @@ def workload():
     return pool, stream
 
 
+#: Config keywords serving every group on each engine.
+ENGINES = {"tree": {"kernel_cap": 0}, "dense": {}}
+
+
 def signatures(outcomes):
     return [
         (o.usage_id, o.accepted, o.rejection_reason, o.license_set)
@@ -141,12 +145,12 @@ class TestResidentService:
     def test_verdicts_match_serial(self, workload, kernel):
         pool, stream = workload
         with ValidationService(
-            pool, ServiceConfig(shards=4, kernel=kernel)
+            pool, ServiceConfig(shards=4, **ENGINES[kernel])
         ) as serial:
             expected = signatures(serial.process(stream))
         with ValidationService(
             pool,
-            ServiceConfig(shards=4, kernel=kernel, executor="resident"),
+            ServiceConfig(shards=4, executor="resident", **ENGINES[kernel]),
         ) as resident:
             actual = signatures(resident.process(stream))
         assert actual == expected
@@ -170,7 +174,7 @@ class TestResidentService:
         resident backend, yet its occupancy view advances: the workers
         write the shared planes the coordinator's kernels read."""
         pool, stream = workload
-        config = ServiceConfig(shards=4, kernel="dense", executor="resident")
+        config = ServiceConfig(shards=4, executor="resident")
         with ValidationService(pool, config) as service:
             before = service.kernel_occupancy()
             assert before, "dense config must expose occupancy"
@@ -192,7 +196,7 @@ class TestResidentService:
         pool, stream = workload
         head, tail = list(stream[:80]), list(stream[80:])
         for kernel in ("tree", "dense"):
-            config = ServiceConfig(shards=3, kernel=kernel)
+            config = ServiceConfig(shards=3, **ENGINES[kernel])
             with ValidationService(pool, config) as cold:
                 cold.process(head)
                 log = ValidationLog()
@@ -202,7 +206,7 @@ class TestResidentService:
                     )
                 expected = signatures(cold.process(tail))
             resident_config = ServiceConfig(
-                shards=3, kernel=kernel, executor="resident"
+                shards=3, executor="resident", **ENGINES[kernel]
             )
             with ValidationService(
                 pool, resident_config, initial_log=log
@@ -212,7 +216,7 @@ class TestResidentService:
 
     def test_close_unlinks_planes_and_stops_workers(self, workload):
         pool, stream = workload
-        config = ServiceConfig(shards=2, kernel="dense", executor="resident")
+        config = ServiceConfig(shards=2, executor="resident")
         service = ValidationService(pool, config)
         service.process(stream[:40])
         allocator = service._plane_allocator
@@ -239,7 +243,7 @@ class TestResidentService:
         def drain_bytes(kernel):
             sizes = []
             config = ServiceConfig(
-                shards=2, batch_size=16, kernel=kernel, executor="resident"
+                shards=2, batch_size=16, executor="resident", **ENGINES[kernel]
             )
             with ValidationService(pool, config) as service:
                 for start in range(0, 120, 40):
@@ -306,7 +310,7 @@ class TestResidentService:
 
     def test_startup_failure_surfaces_worker_error(self, workload):
         pool, _stream = workload
-        config = ServiceConfig(shards=2, kernel="dense", executor="resident")
+        config = ServiceConfig(shards=2, executor="resident")
         service = ValidationService(pool, config)
         try:
             specs = service._build_specs()
@@ -318,7 +322,6 @@ class TestResidentService:
                 group_ids=bad.group_ids,
                 batch_size=bad.batch_size,
                 queue_capacity=bad.queue_capacity,
-                kernel=bad.kernel,
                 kernel_cap=bad.kernel_cap,
                 structure=bad.structure,
                 aggregates=bad.aggregates,
@@ -340,7 +343,7 @@ class TestHeapPlaneFallback:
     def test_non_resident_dense_services_use_heap_tables(self, workload):
         """Workers off -> no shared segments: the plain-heap fallback."""
         pool, stream = workload
-        config = ServiceConfig(shards=2, kernel="dense")
+        config = ServiceConfig(shards=2)
         with ValidationService(pool, config) as service:
             assert service._plane_allocator is None
             service.process(stream[:40])

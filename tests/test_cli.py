@@ -295,10 +295,21 @@ class TestServeBenchKernel:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve-bench", "--kernel", "gpu"])
 
+    @pytest.mark.parametrize("command", ["serve-bench", "serve"])
+    def test_removed_kernel_flag_is_an_argparse_error(self, command, capsys):
+        """The engine follows ``--kernel-cap``; the old ``--kernel``
+        must fail loudly, not start a server or pass as an abbreviation
+        of ``--kernel-cap``."""
+        for value in ("dense", "3"):
+            with pytest.raises(SystemExit) as excinfo:
+                main([command, "--kernel", value])
+            assert excinfo.value.code == 2
+            err = capsys.readouterr().err
+            assert "unrecognized arguments: --kernel" in err
+
     def test_dense_run_reports_fast_path_metric(self, capsys):
         code = main(
-            ["serve-bench", "-n", "12", "--stream", "60", "--seed", "5",
-             "--kernel", "dense"]
+            ["serve-bench", "-n", "12", "--stream", "60", "--seed", "5"]
         )
         assert code == 0
         output = capsys.readouterr().out
@@ -307,10 +318,10 @@ class TestServeBenchKernel:
 
     def test_dense_and_tree_verdicts_agree(self, capsys):
         tallies = []
-        for kernel in ("tree", "dense"):
+        for engine in (["--kernel-cap", "0"], []):
             assert main(
                 ["serve-bench", "-n", "12", "--stream", "90", "--seed", "7",
-                 "--kernel", kernel]
+                 *engine]
             ) == 0
             output = capsys.readouterr().out
             tallies.append(
@@ -322,15 +333,27 @@ class TestServeBenchKernel:
             )
         assert tallies[0] == tallies[1]
 
-    def test_kernel_cap_zero_forces_fallback(self, capsys):
+    def test_kernel_cap_zero_is_the_tree_path(self, capsys):
         code = main(
             ["serve-bench", "-n", "12", "--stream", "40", "--seed", "5",
-             "--kernel", "dense", "--kernel-cap", "0"]
+             "--kernel-cap", "0"]
+        )
+        assert code == 0
+        output = capsys.readouterr().out
+        assert "kernel_fallback" not in output
+        assert "kernel_fast_path_hits" not in output
+
+    def test_kernel_cap_below_group_size_falls_back(self, capsys):
+        # This pool has groups of one and of more licenses: a cap of 1
+        # serves the singletons dense and the rest on the tree.
+        code = main(
+            ["serve-bench", "-n", "12", "--stream", "40", "--seed", "5",
+             "--kernel-cap", "1"]
         )
         assert code == 0
         output = capsys.readouterr().out
         assert "kernel_fallback" in output
-        assert "kernel_fast_path_hits" not in output
+        assert "kernel_fast_path_hits" in output
 
 
 class TestObsReportCommand:

@@ -1,6 +1,6 @@
 """Model-based (stateful) tests with hypothesis RuleBasedStateMachine.
 
-Two machines attack the long-lived components with random operation
+Three machines attack the long-lived components with random operation
 sequences, comparing them against trivially correct reference models:
 
 * :class:`IncrementalValidatorMachine` -- random records and validate
@@ -8,6 +8,10 @@ sequences, comparing them against trivially correct reference models:
   a fresh ScanValidator over the accumulated counts.
 * :class:`IssuanceSessionMachine` -- the equation-policy session against
   the max-flow oracle: accept iff feasible-with-the-new-license.
+* :class:`ServiceSessionMachine` -- the validation service on its
+  default dense kernel and on the tree path (``kernel_cap=0``) against
+  the same oracle, so a bug both engines share cannot hide behind
+  their parity.
 """
 
 from hypothesis import settings
@@ -18,7 +22,9 @@ from repro.core.incremental import IncrementalValidator
 from repro.licenses.license import LicenseFactory
 from repro.licenses.pool import LicensePool
 from repro.licenses.schema import ConstraintSchema, DimensionSpec
-from repro.online.session import IssuanceSession
+from repro.logstore.record import mask_of
+from repro.online.session import IssuanceSession, ServiceSession
+from repro.service import ServiceConfig
 from repro.validation.flow import FlowFeasibilityOracle
 from repro.validation.naive import ScanValidator
 from repro.workloads.adversarial import blocks_pool
@@ -139,6 +145,76 @@ class IssuanceSessionMachine(RuleBasedStateMachine):
         assert self.oracle.feasible(self.session.log.counts_by_mask())
 
 
+class ServiceSessionMachine(RuleBasedStateMachine):
+    """Both serving engines accept exactly the feasible issuances."""
+
+    def __init__(self):
+        super().__init__()
+        schema = ConstraintSchema([DimensionSpec.numeric("x")])
+        self.factory = LicenseFactory(schema, "K", "play")
+        # A chain A-B-C-D (one group of four) plus a lone E.
+        self.pool = LicensePool(
+            [
+                self.factory.redistribution("A", aggregate=150, x=(0, 40)),
+                self.factory.redistribution("B", aggregate=100, x=(20, 60)),
+                self.factory.redistribution("C", aggregate=120, x=(50, 90)),
+                self.factory.redistribution("D", aggregate=80, x=(80, 130)),
+                self.factory.redistribution("E", aggregate=60, x=(200, 230)),
+            ]
+        )
+        self.sessions = {
+            "dense": ServiceSession(self.pool),
+            "tree": ServiceSession(self.pool, ServiceConfig(kernel_cap=0)),
+        }
+        assert self.sessions["dense"].service.kernel_occupancy()
+        assert not self.sessions["tree"].service.kernel_occupancy()
+        self.oracle = FlowFeasibilityOracle(self.pool.aggregate_array())
+        self.serial = 0
+
+    def teardown(self):
+        for session in self.sessions.values():
+            session.service.close()
+
+    @rule(
+        low=st.one_of(
+            st.integers(min_value=0, max_value=125),
+            st.integers(min_value=195, max_value=225),
+        ),
+        width=st.integers(min_value=0, max_value=30),
+        count=st.integers(min_value=1, max_value=90),
+    )
+    def issue(self, low, width, count):
+        self.serial += 1
+        usage = self.factory.usage(
+            f"u{self.serial}", count=count, x=(low, low + width)
+        )
+        matched = self.pool.matching_indexes(usage)
+        verdicts = {}
+        for engine, session in self.sessions.items():
+            before = session.log.counts_by_mask()
+            outcome = session.issue(usage)
+            verdicts[engine] = (outcome.accepted, outcome.rejection_reason)
+            if not matched:
+                assert outcome.rejection_reason == "instance", engine
+            elif outcome.accepted:
+                assert self.oracle.feasible(session.log.counts_by_mask()), (
+                    f"{engine} accepted an infeasible issuance"
+                )
+            else:
+                assert outcome.rejection_reason == "equation", engine
+                mask = mask_of(matched)
+                before[mask] = before.get(mask, 0) + count
+                assert not self.oracle.feasible(before), (
+                    f"{engine} rejected a feasible issuance"
+                )
+        assert verdicts["dense"] == verdicts["tree"]
+
+    @invariant()
+    def logs_agree(self):
+        dense, tree = (s.log.counts_by_mask() for s in self.sessions.values())
+        assert dense == tree
+
+
 TestIncrementalValidatorMachine = IncrementalValidatorMachine.TestCase
 TestIncrementalValidatorMachine.settings = settings(
     max_examples=25, stateful_step_count=30, deadline=None
@@ -146,5 +222,10 @@ TestIncrementalValidatorMachine.settings = settings(
 
 TestIssuanceSessionMachine = IssuanceSessionMachine.TestCase
 TestIssuanceSessionMachine.settings = settings(
+    max_examples=25, stateful_step_count=30, deadline=None
+)
+
+TestServiceSessionMachine = ServiceSessionMachine.TestCase
+TestServiceSessionMachine.settings = settings(
     max_examples=25, stateful_step_count=30, deadline=None
 )
