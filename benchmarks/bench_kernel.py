@@ -29,6 +29,7 @@ from repro.core.grouping import GroupStructure
 from repro.core.incremental import GroupSlice
 from repro.core.kernel import KERNEL_DENSE, KERNEL_TREE, DenseHeadroomKernel
 from repro.validation.capacity import headroom as tree_headroom
+from repro.validation.limits import DEFAULT_KERNEL_CAP
 from repro.validation.tree import ValidationTree
 from repro.workloads.config import WorkloadConfig
 from repro.workloads.generator import WorkloadGenerator
@@ -207,8 +208,12 @@ def test_crossover_vs_group_size(report, kernel_bench_json):
         stream = _member_sets(n, CROSSOVER_STREAM, SEED + 3)
         totals = {}
         verdict_streams = {}
-        for kernel_name in (KERNEL_TREE, KERNEL_DENSE):
-            gslice = GroupSlice(structure, aggregates, 0, kernel=kernel_name)
+        for kernel_name, kernel_cap in (
+            (KERNEL_TREE, 0),
+            (KERNEL_DENSE, DEFAULT_KERNEL_CAP),
+        ):
+            gslice = GroupSlice(structure, aggregates, 0, kernel_cap=kernel_cap)
+            assert gslice.kernel_name == kernel_name
             verdicts = []
             started = time.perf_counter()
             for position, members in enumerate(stream):

@@ -1,20 +1,17 @@
-"""Observability overhead: disabled instrumentation must be ~free.
+"""Observability overhead: a disabled tracer or monitor must be ~free.
 
-The tracing/instrumentation hooks added to the validation hot path
-(``tree_validator``, ``grouped_zeta``, ``incremental``, the service)
-all follow the same pattern: the instrumented code only runs when an
-``Instrumentation``/``Tracer`` object is actually passed; with the
-default ``None``, the original code path executes behind a single
-``is None`` branch.  This benchmark pins that claim down:
+The service's tracing and monitoring hooks follow one pattern: the
+observed code only runs when a ``Tracer``/``Monitor`` object is
+actually passed; with the default ``None``, the original code path
+executes behind a single ``is None`` branch.  This benchmark pins that
+claim down:
 
-* **validator micro-bench** -- ``TreeValidator.validate`` called
-  the legacy way (no keyword at all) vs. with ``instrumentation=None``.
-  Both must take the same time within a generous noise margin; this is
-  the per-call cost of the hook's existence.
 * **service macro-bench** -- one full :class:`ValidationService` run with
   ``tracer=None`` vs. with a live :class:`Tracer` + span recording.
   Reports the *enabled* overhead too (informational), and re-asserts the
   byte-identical-verdicts guarantee with tracing on.
+* **monitor macro-bench** -- the same run with no ``monitor`` keyword,
+  ``monitor=None`` and a live :class:`Monitor`.
 
 Minimum-of-repeats timing throughout; margins are deliberately loose so
 scheduler noise cannot flake CI (the real disabled overhead is a branch
@@ -29,8 +26,6 @@ import time
 from repro.obs.monitor import Monitor
 from repro.obs.trace import SamplingConfig, Tracer
 from repro.service import ServiceConfig, ValidationService
-from repro.validation.tree import ValidationTree
-from repro.validation.tree_validator import TreeValidator
 from repro.workloads.config import WorkloadConfig
 from repro.workloads.generator import WorkloadGenerator
 
@@ -102,56 +97,6 @@ def _service_run(pool, stream, tracer, monitor=None):
     outcomes = service.process(stream)
     service.close()
     return outcomes
-
-
-def test_disabled_validator_overhead(report, bench_json):
-    """``instrumentation=None`` costs one branch on the validator path."""
-    n = 12 if SMOKE else 14
-    tree = ValidationTree()
-    for i in range(n):
-        # Pairs keep the tree non-trivial (internal nodes on every path).
-        pair = tuple(sorted({i + 1, ((i + 1) % n) + 1}))
-        tree.insert_set(pair, (i * 131) % 97)
-    validator = TreeValidator([5000] * n)
-    calls = 20 if SMOKE else 40
-
-    def legacy():
-        for _ in range(calls):
-            validator.validate(tree)
-
-    def disabled():
-        for _ in range(calls):
-            validator.validate(tree, instrumentation=None)
-
-    # Warm-up so neither variant pays first-touch costs inside a timing.
-    legacy()
-    disabled()
-    legacy_s, disabled_s = _time_min_interleaved(
-        [legacy, disabled], repeats=2 * REPEATS
-    )
-    ratio = disabled_s / legacy_s
-    lines = [
-        f"validator hook overhead (N={n}, {calls} full passes per timing, "
-        f"min of {REPEATS})",
-        "",
-        f"legacy call:              {legacy_s * 1e3:8.3f} ms",
-        f"instrumentation=None:     {disabled_s * 1e3:8.3f} ms",
-        f"ratio:                    {ratio:8.3f}x  (ceiling {DISABLED_MARGIN}x)",
-    ]
-    report("obs_overhead_validator", "\n".join(lines))
-    bench_json(
-        "obs_overhead_validator",
-        {
-            "smoke": SMOKE,
-            "n": n,
-            "legacy_s": legacy_s,
-            "disabled_s": disabled_s,
-            "ratio": ratio,
-        },
-    )
-    assert ratio < DISABLED_MARGIN, (
-        f"instrumentation=None should be free, measured {ratio:.3f}x"
-    )
 
 
 def test_disabled_service_overhead(report, bench_json):

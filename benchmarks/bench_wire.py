@@ -14,7 +14,7 @@ streams, bounded in-flight window -- wrapped around the same
 * **Open-loop latency**: requests depart on a fixed arrival schedule,
   so percentiles include queueing delay without coordinated omission.
 * **Tracing overhead**: the same closed-loop run three ways -- a
-  protocol-v1 client against a no-timing-echo server (the legacy
+  protocol-v1 client, which gets no timing echo (the legacy
   baseline), a v2 client with tracing disabled (contexts absent, timing
   echo present), and a fully traced run (client + server tracers).  The
   disabled-path ratio is gated: v2 support must stay essentially free
@@ -80,16 +80,14 @@ def _signature(outcomes):
     ]
 
 
-async def _with_server(pool, run, *, tracer=None, timing_echo=True):
+async def _with_server(pool, run, *, tracer=None):
     """Start a fresh service+server, run ``run(host, port)``, drain."""
     service = ValidationService(pool, CONFIG, tracer=tracer)
     server = AdmissionServer(
         service,
         # Window sized to the whole stream: backpressure never triggers,
         # so request counts below are deterministic and gateable.
-        WireServerConfig(
-            max_inflight=max(STREAM, 256), timing_echo=timing_echo
-        ),
+        WireServerConfig(max_inflight=max(STREAM, 256)),
     )
     host, port = await server.start()
     try:
@@ -180,9 +178,7 @@ def test_wire_end_to_end(report, bench_json):
         return scenario
 
     baseline_report = asyncio.run(
-        _with_server(
-            pool, closed_run(protocol_versions=(1,)), timing_echo=False
-        )
+        _with_server(pool, closed_run(protocol_versions=(1,)))
     )
     untraced_report = asyncio.run(_with_server(pool, closed_run()))
     traced_report = asyncio.run(

@@ -19,7 +19,7 @@ Verdicts always match the grouped tree validator (tested).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence
+from typing import Dict, FrozenSet, List, Sequence
 
 from repro.errors import GroupingError, ValidationError
 from repro.core.grouping import GroupStructure, form_groups
@@ -30,9 +30,6 @@ from repro.licenses.pool import LicensePool
 from repro.logstore.log import ValidationLog
 from repro.validation.report import ValidationReport, Violation, make_report
 from repro.validation.zeta import ZetaValidator
-
-if TYPE_CHECKING:  # pragma: no cover - import for annotations only
-    from repro.obs.instrument import Instrumentation
 
 __all__ = ["GroupedZetaValidator"]
 
@@ -104,45 +101,19 @@ class GroupedZetaValidator:
             bucket[local_mask] = bucket.get(local_mask, 0) + count
         return per_group
 
-    def validate(
-        self,
-        log: ValidationLog,
-        instrumentation: Optional["Instrumentation"] = None,
-    ) -> ValidationReport:
+    def validate(self, log: ValidationLog) -> ValidationReport:
         """Validate a log: one dense DP per group."""
-        return self.validate_counts(
-            log.counts_by_set(), instrumentation=instrumentation
-        )
+        return self.validate_counts(log.counts_by_set())
 
     def validate_counts(
-        self,
-        counts_by_set: Dict[FrozenSet[int], int],
-        instrumentation: Optional["Instrumentation"] = None,
+        self, counts_by_set: Dict[FrozenSet[int], int]
     ) -> ValidationReport:
-        """Validate aggregated ``{set: count}`` data.
-
-        ``instrumentation`` (optional
-        :class:`repro.obs.instrument.Instrumentation`) receives one
-        ``group_validate`` span per group with its ``equations_checked``
-        count -- the per-group breakdown of the paper's Eq. 3 gain.
-        """
+        """Validate aggregated ``{set: count}`` data."""
         per_group = self._split_counts(counts_by_set)
         violations: List[Violation] = []
         checked = 0
         for group_id, (engine, counts) in enumerate(zip(self._engines, per_group)):
-            if instrumentation is None:
-                report = engine.validate_counts(counts)
-            else:
-                with instrumentation.span(
-                    "group_validate", group_id=group_id
-                ) as span:
-                    report = engine.validate_counts(counts)
-                    span.set_attr(
-                        "equations_checked", report.equations_checked
-                    )
-                instrumentation.count(
-                    "equations_checked", report.equations_checked
-                )
+            report = engine.validate_counts(counts)
             checked += report.equations_checked
             for violation in report.violations:
                 global_mask = globalize_mask(

@@ -22,13 +22,12 @@ without sharing any mutable state.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import GroupingError, ValidationError
 from repro.core.grouping import GroupStructure, form_groups
 from repro.core.kernel import (
     KERNEL_DENSE,
-    KERNEL_NAMES,
     KERNEL_TREE,
     DenseHeadroomKernel,
     KernelPlane,
@@ -40,13 +39,9 @@ from repro.licenses.pool import LicensePool
 from repro.logstore.log import ValidationLog
 from repro.logstore.record import LogRecord
 from repro.validation.capacity import headroom as _headroom
-from repro.validation.limits import DEFAULT_KERNEL_CAP
 from repro.validation.report import ValidationReport, Violation, make_report
 from repro.validation.tree import ValidationTree
 from repro.validation.tree_validator import TreeValidator
-
-if TYPE_CHECKING:  # pragma: no cover - import for annotations only
-    from repro.obs.instrument import Instrumentation
 
 __all__ = ["GroupSlice", "IncrementalValidator"]
 
@@ -60,16 +55,17 @@ class GroupSlice:
     from different threads or processes without synchronization
     (Theorem 2: their equation systems are disjoint).
 
-    ``kernel`` selects the equation-state engine behind the slice:
+    ``kernel_cap`` selects the equation-state engine behind the slice:
 
-    * ``"tree"`` (default) -- the validation tree of [10] with
-      enumerated headroom queries and Algorithm 2 revalidation;
-    * ``"dense"`` -- the resident-table
+    * ``N_k <= kernel_cap`` -- the resident-table
       :class:`repro.core.kernel.DenseHeadroomKernel` (O(1) admission
-      lookups, delta revalidation), *when* ``N_k <= kernel_cap``.
-      Larger groups fall back to the tree walk -- dense tables cost
-      ``3 * 8 * 2^{N_k}`` bytes -- and :attr:`kernel_fallback` reports
-      the downgrade so the serving layer can count it.
+      lookups, delta revalidation);
+    * otherwise, and always for the default cap of 0 -- the validation
+      tree of [10] with enumerated headroom queries and Algorithm 2
+      revalidation.  Dense tables cost ``3 * 8 * 2^{N_k}`` bytes, so a
+      group above a non-zero cap falls back to the tree walk and
+      :attr:`kernel_fallback` reports the downgrade so the serving
+      layer can count it.
 
     Verdicts, headroom values, and violation masks are identical for
     both engines (property-tested); only the cost model differs.
@@ -96,26 +92,20 @@ class GroupSlice:
         structure: GroupStructure,
         aggregates: Sequence[int],
         group_id: int,
-        kernel: str = KERNEL_TREE,
-        kernel_cap: int = DEFAULT_KERNEL_CAP,
+        kernel_cap: int = 0,
         planes: Optional[Tuple[KernelPlane, KernelPlane]] = None,
         adopt_planes: bool = False,
     ):
-        if kernel not in KERNEL_NAMES:
-            raise ValidationError(
-                f"unknown kernel {kernel!r}; choose from "
-                f"{', '.join(KERNEL_NAMES)}"
-            )
         self.group_id = group_id
         self._structure = structure
         self._position: Dict[int, int] = position_array(structure, group_id)
         self._local_aggregates = remapped_aggregates(aggregates, structure, group_id)
         self._universe = (1 << len(self._local_aggregates)) - 1
-        self._requested_kernel = kernel
+        self._kernel_cap = kernel_cap
         self._kernel: Optional[DenseHeadroomKernel] = None
         self._validator: Optional[TreeValidator] = None
         self._tree: Optional[ValidationTree] = None
-        if kernel == KERNEL_DENSE and len(self._local_aggregates) <= kernel_cap:
+        if len(self._local_aggregates) <= kernel_cap:
             self._kernel = DenseHeadroomKernel(
                 self._local_aggregates,
                 max_n=kernel_cap,
@@ -156,11 +146,9 @@ class GroupSlice:
 
     @property
     def kernel_fallback(self) -> bool:
-        """Return whether the dense kernel was requested but the group
-        exceeded the cap, downgrading this slice to the tree walk."""
-        return (
-            self._requested_kernel == KERNEL_DENSE and self._kernel is None
-        )
+        """Return whether a non-zero cap was exceeded by the group,
+        downgrading this slice to the tree walk."""
+        return 0 < self._kernel_cap < self.size
 
     @property
     def version(self) -> int:
@@ -176,8 +164,8 @@ class GroupSlice:
     @property
     def masks_touched(self) -> int:
         """Return dense-table masks rewritten since the last
-        revalidation (0 on the tree path) -- the per-update work the
-        revalidate span attributes report."""
+        revalidation (0 on the tree path) -- the kernel's incremental
+        work since the last pass."""
         return self._touched_since_reval
 
     def kernel_occupancy(self) -> Optional[Dict[str, int]]:
@@ -272,53 +260,18 @@ class GroupSlice:
             return self._kernel.headroom_many(masks)
         return [self.headroom(members) for members in members_batch]
 
-    def revalidate(
-        self, instrumentation: Optional["Instrumentation"] = None
-    ) -> Tuple[ValidationReport, int]:
+    def revalidate(self) -> Tuple[ValidationReport, int]:
         """Run Algorithm 2 over this group if dirty; else reuse the cache.
 
         Returns ``(report, equations_checked_now)`` where the counter is 0
         on a cache hit.  Violation masks are *local*; use
         :meth:`globalize_violation` to translate them.
-
-        ``instrumentation`` (optional
-        :class:`repro.obs.instrument.Instrumentation`) gets one
-        ``revalidate`` span per actual validation run, attributed with
-        ``group_id``/``equations_checked``/``dirty``/``kernel`` (plus
-        ``masks_touched`` on the dense path -- the kernel's real
-        incremental work since the last pass, so the Eq.-3 efficiency
-        telemetry stays truthful), and a ``revalidation_cache_hits``
-        counter for skipped clean passes.
         """
         if self._dirty or self._cached is None:
-            if instrumentation is None:
-                self._cached = self._run_validation()
-            else:
-                touched_before = self._touched_since_reval
-                with instrumentation.span(
-                    "revalidate",
-                    group_id=self.group_id,
-                    dirty=True,
-                    kernel=self.kernel_name,
-                ) as span:
-                    self._cached = self._run_validation()
-                    span.set_attr(
-                        "equations_checked", self._cached.equations_checked
-                    )
-                    if self._kernel is not None:
-                        span.set_attr("masks_touched", touched_before)
-                instrumentation.count(
-                    "equations_checked", self._cached.equations_checked
-                )
-                if self._kernel is not None:
-                    instrumentation.count(
-                        "kernel_masks_touched", touched_before
-                    )
+            self._cached = self._run_validation()
             self._dirty = False
             self._touched_since_reval = 0
             return self._cached, self._cached.equations_checked
-        if instrumentation is not None:
-            instrumentation.count("revalidation_cache_hits")
         return self._cached, 0
 
     def _run_validation(self) -> ValidationReport:
@@ -365,8 +318,7 @@ class IncrementalValidator:
         self,
         boxes: Sequence[Box],
         aggregates: Sequence[int],
-        kernel: str = KERNEL_TREE,
-        kernel_cap: int = DEFAULT_KERNEL_CAP,
+        kernel_cap: int = 0,
     ):
         if len(boxes) != len(aggregates):
             raise ValidationError(
@@ -379,32 +331,18 @@ class IncrementalValidator:
             OverlapGraph.from_boxes(boxes)
         )
         self._slices: List[GroupSlice] = [
-            GroupSlice(
-                self._structure,
-                self._aggregates,
-                k,
-                kernel=kernel,
-                kernel_cap=kernel_cap,
-            )
+            GroupSlice(self._structure, self._aggregates, k, kernel_cap=kernel_cap)
             for k in range(self._structure.count)
         ]
         self._records = 0
 
     @classmethod
     def from_pool(
-        cls,
-        pool: LicensePool,
-        kernel: str = KERNEL_TREE,
-        kernel_cap: int = DEFAULT_KERNEL_CAP,
+        cls, pool: LicensePool, kernel_cap: int = 0
     ) -> "IncrementalValidator":
-        """Build from a license pool (``kernel`` selects each slice's
+        """Build from a license pool (``kernel_cap`` selects each slice's
         equation engine -- see :class:`GroupSlice`)."""
-        return cls(
-            pool.boxes(),
-            pool.aggregate_array(),
-            kernel=kernel,
-            kernel_cap=kernel_cap,
-        )
+        return cls(pool.boxes(), pool.aggregate_array(), kernel_cap=kernel_cap)
 
     # ------------------------------------------------------------------
     # Accessors
@@ -470,21 +408,18 @@ class IncrementalValidator:
     # ------------------------------------------------------------------
     # Validation
     # ------------------------------------------------------------------
-    def validate(
-        self, instrumentation: Optional["Instrumentation"] = None
-    ) -> ValidationReport:
+    def validate(self) -> ValidationReport:
         """Revalidate dirty groups, reuse cached verdicts for clean ones.
 
         The returned report's ``equations_checked`` counts only the
         equations evaluated by *this* call -- the incremental cost.
         Violations cover all groups (cached and fresh), translated to
-        global license indexes.  ``instrumentation`` is forwarded to each
-        slice's :meth:`GroupSlice.revalidate`.
+        global license indexes.
         """
         checked_now = 0
         violations: List[Violation] = []
         for gslice in self._slices:
-            report, checked = gslice.revalidate(instrumentation)
+            report, checked = gslice.revalidate()
             checked_now += checked
             violations.extend(
                 gslice.globalize_violation(violation)

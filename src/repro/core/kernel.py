@@ -92,11 +92,11 @@ __all__ = [
     "KernelPlaneAllocator",
 ]
 
-#: Strategy name for the existing validation-tree walk (the default).
+#: Engine name of the validation-tree walk (``kernel_cap=0``).
 KERNEL_TREE = "tree"
-#: Strategy name for the dense table kernel of this module.
+#: Engine name of the dense table kernel of this module.
 KERNEL_DENSE = "dense"
-#: Recognized ``kernel=`` strategy names, in preference order.
+#: Every engine name a :class:`repro.core.incremental.GroupSlice` reports.
 KERNEL_NAMES = (KERNEL_TREE, KERNEL_DENSE)
 
 #: Bound on the cone-index cache (one int64 vector of ``2^{N - |T|}``

@@ -55,6 +55,10 @@ __all__ = ["AdmissionClient", "RequestStats", "WireResult"]
 
 #: Injectable sleeper type (tests swap in a no-op recorder).
 SleepFn = Callable[[float], Awaitable[None]]
+#: First retry backoff, in seconds; each retry doubles it.
+BACKOFF_BASE = 0.02
+#: Ceiling of the retry backoff, in seconds (before jitter).
+BACKOFF_CAP = 0.5
 
 
 class RequestStats:
@@ -69,18 +73,14 @@ class RequestStats:
         self.overloaded = 0
         self.timeouts = 0
 
-    def as_dict(self) -> Dict[str, int]:
-        """Return the counters as a plain dict."""
-        return {name: getattr(self, name) for name in self.__slots__}
-
 
 @dataclass(frozen=True)
 class WireResult:
     """One answered request: verdict plus v2 tracing extras.
 
-    ``timing`` and ``trace_id`` are ``None`` on v1 connections, when the
-    server's timing echo is off, or when no client tracer is configured
-    (respectively) -- the verdict itself is identical either way.
+    ``timing`` is ``None`` on v1 connections and ``trace_id`` when no
+    client tracer is configured -- the verdict itself is identical
+    either way.
     """
 
     outcome: IssuanceOutcome
@@ -101,10 +101,9 @@ class AdmissionClient:
     retries:
         Extra attempts after the first when the server answers
         ``OVERLOADED`` (so ``retries=4`` makes at most 5 attempts).
-    backoff_base, backoff_cap:
-        Exponential backoff parameters (seconds).
     jitter_seed:
-        Seed of the backoff jitter's ``random.Random``.
+        Seed of the jitter's ``random.Random`` on the exponential retry
+        backoff (:data:`BACKOFF_BASE` doubling up to :data:`BACKOFF_CAP`).
     sleep:
         Awaitable sleeper used between retries (default
         ``asyncio.sleep``; tests inject a recorder).
@@ -128,8 +127,6 @@ class AdmissionClient:
         *,
         timeout: float = 5.0,
         retries: int = 4,
-        backoff_base: float = 0.02,
-        backoff_cap: float = 0.5,
         jitter_seed: int = 0,
         sleep: Optional[SleepFn] = None,
         client_name: str = "repro-client",
@@ -154,8 +151,6 @@ class AdmissionClient:
         self.port = port
         self.timeout = timeout
         self.retries = retries
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         self.client_name = client_name
         self.stats = RequestStats()
         self._sleep: SleepFn = sleep if sleep is not None else asyncio.sleep
@@ -485,7 +480,7 @@ class AdmissionClient:
         return [outcome for outcome in results if outcome is not None]
 
     def _backoff_delay(self, attempt: int) -> float:
-        base = min(self.backoff_cap, self.backoff_base * (2 ** attempt))
+        base = min(BACKOFF_CAP, BACKOFF_BASE * (2 ** attempt))
         return base * (0.5 + self._jitter.random())
 
     def _interpret(self, frame: Frame) -> Optional[IssuanceOutcome]:

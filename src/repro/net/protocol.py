@@ -533,7 +533,7 @@ def timing_to_payload(timing: ServerTiming) -> Dict[str, object]:
 def timing_from_payload(payload: Dict[str, object]) -> Optional[ServerTiming]:
     """Extract the optional timing echo from a MSG_RESPONSE payload.
 
-    Returns ``None`` when absent (v1 servers, or timing echo disabled);
+    Returns ``None`` when absent (v1 connections);
     raises :class:`~repro.errors.ProtocolError` on a malformed entry.
     """
     entry = payload.get("timing")

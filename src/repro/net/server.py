@@ -69,6 +69,10 @@ __all__ = ["AdmissionServer", "WireServerConfig"]
 
 logger = logging.getLogger(__name__)
 
+#: High-water mark of each connection's stream reader -- the
+#: per-connection read-side backpressure bound, in bytes.
+READ_LIMIT = 1 << 16
+
 
 @dataclass(frozen=True)
 class WireServerConfig:
@@ -84,39 +88,22 @@ class WireServerConfig:
         Bound on submitted-but-unanswered requests across all
         connections.  Arrivals beyond it get a wire ``OVERLOADED``
         error (retryable; the connection stays alive).
-    read_limit:
-        High-water mark of each connection's stream reader -- the
-        per-connection read-side backpressure bound, in bytes.
     auto_flush:
         When ``True`` (default), requests are flushed through the
         service as soon as the batch parsed from one read chunk has been
         submitted.  Tests set ``False`` to drive :meth:`flush` manually
         and observe window saturation deterministically.
-    timing_echo:
-        When ``True`` (default), the service collects a per-request
-        phase breakdown (:class:`repro.obs.distrib.ServerTiming`) and
-        the server echoes it under the ``"timing"`` key of RESPONSE
-        frames on protocol-v2 connections.  v1 connections never see
-        the key; disabling skips clock reads entirely (benchmarked
-        baseline path).
     """
 
     host: str = "127.0.0.1"
     port: int = 0
     max_inflight: int = 256
-    read_limit: int = 1 << 16
     auto_flush: bool = True
-    timing_echo: bool = True
 
     def __post_init__(self) -> None:
         if self.max_inflight < 1:
             raise ServiceError(
                 f"max_inflight must be >= 1, got {self.max_inflight}"
-            )
-        if self.read_limit < protocol.HEADER_SIZE:
-            raise ServiceError(
-                f"read_limit must cover at least one frame header "
-                f"({protocol.HEADER_SIZE} bytes), got {self.read_limit}"
             )
 
 
@@ -165,8 +152,11 @@ class AdmissionServer:
         self.config = config or WireServerConfig()
         self.events = events if events is not None else service.events
         self.metrics = service.metrics
-        if self.config.timing_echo:
-            service.enable_request_timings()
+        # The service collects a per-request phase breakdown
+        # (:class:`repro.obs.distrib.ServerTiming`), echoed under the
+        # ``"timing"`` key of RESPONSE frames on protocol-v2 connections;
+        # v1 connections never see the key.
+        service.enable_request_timings()
         monitor = service.monitor
         if monitor is not None:
             # Lets the monitor grade wire window saturation (the sixth
@@ -193,7 +183,7 @@ class AdmissionServer:
             self._handle_connection,
             self.config.host,
             self.config.port,
-            limit=self.config.read_limit,
+            limit=READ_LIMIT,
         )
         self._started = True
         sock = self._server.sockets[0]
@@ -276,7 +266,7 @@ class AdmissionServer:
         decoder = FrameDecoder()
         try:
             while True:
-                chunk = await reader.read(self.config.read_limit)
+                chunk = await reader.read(READ_LIMIT)
                 if not chunk:
                     decoder.finish()
                     break
@@ -460,7 +450,7 @@ class AdmissionServer:
             "connections_open": len(self._connections),
             "requests_served": self._requests_served,
             "draining": self._draining,
-            "timing_echo": self.config.timing_echo,
+            "timing_echo": True,
         }
 
     async def _handle_admin(self, connection: _Connection, frame: Frame) -> None:

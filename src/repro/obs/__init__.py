@@ -11,14 +11,11 @@ counters, gauges, latency quantiles.  This package answers *why* and
   head-based sampling so heavy traffic can keep a representative slice;
 * :mod:`repro.obs.events` -- an append-only structured JSONL event log
   (admissions, rejections with reason codes, backpressure, cache
-  evictions, group epoch changes) with bounded-size rotation;
+  evictions) with bounded-size rotation;
 * :mod:`repro.obs.export` -- renderers: the
   :class:`repro.service.metrics.MetricsRegistry` to Prometheus text
   format or JSON, finished traces to JSONL / ASCII span trees /
   top-N-slowest reports;
-* :mod:`repro.obs.instrument` -- the tiny no-op-by-default
-  :class:`Instrumentation` protocol the core validators accept, so
-  un-instrumented runs pay (almost) nothing;
 * :mod:`repro.obs.monitor` -- the consumption layer: windowed metric
   streams, derived health indicators (including the Equation-3
   efficiency-drift signal and wire in-flight saturation), SLO
@@ -34,7 +31,7 @@ counters, gauges, latency quantiles.  This package answers *why* and
 The contract with the serving layer: observability is strictly
 *out-of-band*.  Verdict streams are byte-identical with tracing enabled
 or disabled (pinned by ``tests/obs/test_service_tracing.py``), and the
-disabled-instrumentation overhead is benchmarked in
+disabled-tracer overhead is benchmarked in
 ``benchmarks/bench_obs_overhead.py``.
 """
 
@@ -50,7 +47,6 @@ from repro.obs.events import (
     EVENT_ALERT,
     EVENT_BACKPRESSURE,
     EVENT_CACHE_EVICTION,
-    EVENT_EPOCH_CHANGE,
     EVENT_REJECTION,
     EventLog,
 )
@@ -62,12 +58,6 @@ from repro.obs.export import (
     render_span_tree,
     summarize_events,
     top_slowest,
-)
-from repro.obs.instrument import (
-    NOOP,
-    CountingInstrumentation,
-    Instrumentation,
-    TracingInstrumentation,
 )
 from repro.obs.monitor import (
     EwmaRule,
@@ -84,17 +74,13 @@ __all__ = [
     "EVENT_ALERT",
     "EVENT_BACKPRESSURE",
     "EVENT_CACHE_EVICTION",
-    "EVENT_EPOCH_CHANGE",
     "EVENT_REJECTION",
     "AssembledTrace",
-    "CountingInstrumentation",
     "EventLog",
     "EwmaRule",
     "HealthThresholds",
-    "Instrumentation",
     "Monitor",
     "MonitorConfig",
-    "NOOP",
     "NULL_SPAN",
     "SamplingConfig",
     "ServerTiming",
@@ -104,7 +90,6 @@ __all__ = [
     "ThresholdRule",
     "TraceContext",
     "Tracer",
-    "TracingInstrumentation",
     "assemble",
     "assemble_files",
     "load_trace_jsonl",

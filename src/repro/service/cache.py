@@ -7,12 +7,10 @@ Two cache kinds with very different lifetimes:
   are heavily repetitive at serving scale (popular content, popular
   regions), so identical boxes recur; the match set depends only on the
   box and the pool, never on the log, making memoization exact.
-* :class:`GroupTables` -- the derived lookup structures of one pool
-  epoch: the group partition, the ``{license -> group}`` map, per-group
-  masks and member tuples.  They are computed once per pool version and
-  shared read-only by every shard; :meth:`GroupTables.refresh` bumps the
-  epoch when the pool (and hence possibly the grouping) changes, which
-  also invalidates any match cache wired to the same epoch.
+* :class:`GroupTables` -- the derived lookup structures of the pool:
+  the group partition, the aggregate array and the
+  ``{license -> group}`` map.  They are computed once, when the service
+  starts, and shared read-only by every shard.
 """
 
 from __future__ import annotations
@@ -122,42 +120,35 @@ def request_key(usage: UsageLicense) -> Tuple:
 
 
 class MatchCache:
-    """An :class:`IndexedMatcher` wrapped in an LRU memo.
-
-    ``maxsize == 0`` disables memoization (every query hits the matcher),
-    so callers can keep one code path for both configurations.
-    """
+    """An :class:`IndexedMatcher` wrapped in an LRU memo of ``maxsize``
+    entries."""
 
     def __init__(
         self,
         matcher: IndexedMatcher,
-        maxsize: int = 4096,
+        maxsize: int,
         on_evict: Optional[Callable[[Tuple, FrozenSet[int]], None]] = None,
     ):
         self._matcher = matcher
-        self._cache: Optional[LRUCache[Tuple, FrozenSet[int]]] = (
-            LRUCache(maxsize, on_evict) if maxsize else None
-        )
+        self._cache: LRUCache[Tuple, FrozenSet[int]] = LRUCache(maxsize, on_evict)
 
     @property
     def hits(self) -> int:
-        """Return cache hits (0 when caching is disabled)."""
-        return self._cache.hits if self._cache else 0
+        """Return cache hits."""
+        return self._cache.hits
 
     @property
     def misses(self) -> int:
-        """Return cache misses (0 when caching is disabled)."""
-        return self._cache.misses if self._cache else 0
+        """Return cache misses."""
+        return self._cache.misses
 
     @property
     def evictions(self) -> int:
-        """Return LRU evictions (0 when caching is disabled)."""
-        return self._cache.evictions if self._cache else 0
+        """Return LRU evictions."""
+        return self._cache.evictions
 
     def match(self, usage: UsageLicense) -> FrozenSet[int]:
         """Return the match set, memoized by request geometry."""
-        if self._cache is None:
-            return self._matcher.match(usage)
         key = request_key(usage)
         cached = self._cache.get(key)
         if cached is not None:
@@ -166,52 +157,22 @@ class MatchCache:
         self._cache.put(key, result)
         return result
 
-    def invalidate(self) -> None:
-        """Drop all memoized match sets (pool changed)."""
-        if self._cache is not None:
-            self._cache.clear()
-
 
 class GroupTables:
-    """Derived group-lookup tables for one pool epoch.
+    """Derived group-lookup tables of one pool.
 
-    Built once per pool version and shared read-only: the group
-    partition, the bulk ``{license index -> group id}`` map, per-group
-    bitmasks and sorted member tuples.  :meth:`refresh` recomputes
-    everything and bumps :attr:`epoch` so dependent caches know their
-    entries are stale.
+    Built once and shared read-only: the group partition, the aggregate
+    array and the bulk ``{license index -> group id}`` map.
     """
 
     def __init__(self, pool: LicensePool):
-        self._pool = pool
-        self.epoch = 0
-        #: Optional ``callback(old_group_count, new_group_count, epoch)``
-        #: invoked after :meth:`refresh` -- the hook the observability
-        #: layer uses to journal group split/merge events.
-        self.on_refresh: Optional[Callable[[int, int, int], None]] = None
-        self._build()
-
-    def _build(self) -> None:
         self.structure: GroupStructure = form_groups(
-            OverlapGraph.from_boxes(self._pool.boxes())
+            OverlapGraph.from_boxes(pool.boxes())
         )
-        self.aggregates = self._pool.aggregate_array()
+        self.aggregates = pool.aggregate_array()
         self.group_of: Dict[int, int] = self.structure.group_lookup()
-        self.masks: Tuple[int, ...] = self.structure.masks()
-        self.members: Tuple[Tuple[int, ...], ...] = tuple(
-            self.structure.sorted_members(k) for k in range(self.structure.count)
-        )
 
     @property
     def group_count(self) -> int:
         """Return the number of disconnected groups."""
         return self.structure.count
-
-    def refresh(self) -> int:
-        """Recompute all tables from the pool; return the new epoch."""
-        old_count = self.group_count
-        self._build()
-        self.epoch += 1
-        if self.on_refresh is not None:
-            self.on_refresh(old_count, self.group_count, self.epoch)
-        return self.epoch

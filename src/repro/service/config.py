@@ -47,11 +47,6 @@ class ServiceConfig:
         Worker-process count for the resident backend; ``0`` (default)
         means one worker per shard.  Must stay ``0`` for the serial
         backend, which has no workers.
-    match_cache_size:
-        LRU entries for instance-match memoization; 0 disables caching.
-    latency_window:
-        Sample window of the latency histogram (exact quantiles are
-        computed over the most recent this-many requests).
     kernel_cap:
         Largest ``N_k`` served by the dense headroom kernel
         (:class:`repro.core.kernel.DenseHeadroomKernel` -- O(1)
@@ -69,8 +64,6 @@ class ServiceConfig:
     queue_capacity: int = 1024
     executor: str = "serial"
     workers: int = 0
-    match_cache_size: int = 4096
-    latency_window: int = 65536
     kernel_cap: int = DEFAULT_KERNEL_CAP
 
     def __post_init__(self) -> None:
@@ -95,14 +88,6 @@ class ServiceConfig:
             raise ServiceError(
                 f"workers={self.workers} needs executor='resident'; "
                 f"the {self.executor!r} executor has no workers"
-            )
-        if self.match_cache_size < 0:
-            raise ServiceError(
-                f"match_cache_size must be >= 0, got {self.match_cache_size}"
-            )
-        if self.latency_window < 1:
-            raise ServiceError(
-                f"latency_window must be >= 1, got {self.latency_window}"
             )
         if not 0 <= self.kernel_cap <= DENSE_TABLE_MAX_N:
             raise ServiceError(

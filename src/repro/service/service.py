@@ -52,7 +52,6 @@ from repro.obs.events import (
     EVENT_ADMISSION,
     EVENT_BACKPRESSURE,
     EVENT_CACHE_EVICTION,
-    EVENT_EPOCH_CHANGE,
     EVENT_REJECTION,
     EventLog,
 )
@@ -63,13 +62,7 @@ from repro.service.cache import GroupTables, MatchCache
 from repro.service.config import ServiceConfig
 from repro.service.executor import SerialExecutor
 from repro.service.metrics import MetricsRegistry
-from repro.service.shard import (
-    GroupShard,
-    ShardRequest,
-    ShardResult,
-    ShardSpec,
-    serving_kernel,
-)
+from repro.service.shard import GroupShard, ShardRequest, ShardResult, ShardSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import for annotations only
     from repro.obs.monitor import Monitor
@@ -81,6 +74,11 @@ __all__ = ["ValidationService"]
 REASON_INSTANCE = "instance"
 #: Label used on the overload counter and outcome streams.
 REASON_OVERLOAD = "overload"
+#: LRU entries for instance-match memoization.
+MATCH_CACHE_SIZE = 4096
+#: Sample window of the latency histogram: exact quantiles are computed
+#: over the most recent this-many requests.
+LATENCY_WINDOW = 65536
 
 
 class ValidationService:
@@ -106,8 +104,8 @@ class ValidationService:
         streams are byte-identical with it on or off.
     events:
         Optional :class:`repro.obs.events.EventLog` receiving the
-        structured admission/rejection/backpressure/cache-eviction/
-        epoch-change journal.
+        structured admission/rejection/backpressure/cache-eviction
+        journal.
     monitor:
         Optional :class:`repro.obs.monitor.Monitor`.  When given, it is
         attached to this service's registry at construction and ticked
@@ -136,11 +134,9 @@ class ValidationService:
         self.events = events
         self._pool = pool
         self._tables = GroupTables(pool)
-        if events is not None:
-            self._tables.on_refresh = self._on_epoch_change
         self._matcher = MatchCache(
             IndexedMatcher(pool),
-            self.config.match_cache_size,
+            MATCH_CACHE_SIZE,
             on_evict=self._on_cache_evict if events is not None else None,
         )
         self._shard_count = min(self.config.shards, self._tables.group_count)
@@ -152,7 +148,6 @@ class ValidationService:
         self._plane_allocator: Optional[KernelPlaneAllocator] = None
         if resident:
             self._plane_allocator = KernelPlaneAllocator(shared=True)
-        kernel = serving_kernel(self.config.kernel_cap)
         slices_by_shard: Dict[int, Dict[int, GroupSlice]] = {
             shard_id: {} for shard_id in range(self._shard_count)
         }
@@ -168,7 +163,6 @@ class ValidationService:
                 self._tables.structure,
                 self._tables.aggregates,
                 group_id,
-                kernel=kernel,
                 kernel_cap=self.config.kernel_cap,
                 planes=planes,
             )
@@ -192,9 +186,7 @@ class ValidationService:
         self._timings_enabled = False
         self._request_timings: Dict[int, ServerTiming] = {}
         self._match_us: Dict[int, int] = {}
-        self._latency = self.metrics.histogram(
-            "latency_seconds", self.config.latency_window
-        )
+        self._latency = self.metrics.histogram("latency_seconds", LATENCY_WINDOW)
         self._seq = 0
         self._request_spans: Dict[int, object] = {}
         self._pending_outcomes: Dict[int, IssuanceOutcome] = {}
@@ -258,10 +250,6 @@ class ValidationService:
         """Return the number of queued, not-yet-drained requests."""
         return sum(shard.depth for shard in self._shards)
 
-    def queue_depths(self) -> Dict[int, int]:
-        """Return ``{shard_id: depth}`` for all shards."""
-        return {shard.shard_id: shard.depth for shard in self._shards}
-
     @property
     def executor_backend(self) -> str:
         """Return ``config.executor`` (read by ``perfbench/launcher.py``)."""
@@ -287,12 +275,6 @@ class ValidationService:
     # ------------------------------------------------------------------
     # Per-request timing breakdown (wire timing echo)
     # ------------------------------------------------------------------
-    @property
-    def request_timings_enabled(self) -> bool:
-        """Whether per-request :class:`~repro.obs.distrib.ServerTiming`
-        breakdowns are being collected."""
-        return self._timings_enabled
-
     def enable_request_timings(self) -> None:
         """Start collecting a per-request phase breakdown.
 
@@ -300,8 +282,8 @@ class ValidationService:
         :class:`~repro.obs.distrib.ServerTiming`, claimable exactly once
         via :meth:`pop_request_timing`.  The admission verdicts are
         byte-identical with collection on or off; only clocks are read.
-        Enabled by :class:`repro.net.server.AdmissionServer` when its
-        config asks for the v2 timing echo.
+        Enabled by every :class:`repro.net.server.AdmissionServer`, which
+        echoes the breakdown to v2 peers.
         """
         self._timings_enabled = True
         for shard in self._shards:
@@ -786,21 +768,4 @@ class ValidationService:
             EVENT_CACHE_EVICTION,
             cache="match",
             content_id=key[0] if key else None,
-        )
-
-    def _on_epoch_change(self, old_groups: int, new_groups: int, epoch: int) -> None:
-        change = (
-            "split" if new_groups > old_groups
-            else "merge" if new_groups < old_groups
-            else "none"
-        )
-        events = self.events
-        if events is None:  # pragma: no cover - hook registered iff events
-            return
-        events.emit(
-            EVENT_EPOCH_CHANGE,
-            epoch=epoch,
-            old_groups=old_groups,
-            new_groups=new_groups,
-            change=change,
         )

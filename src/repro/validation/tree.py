@@ -204,26 +204,6 @@ class ValidationTree:
                         stack.append(child)
         return total
 
-    def subset_sum_counting(self, mask: int) -> Tuple[int, int]:
-        """:meth:`subset_sum` plus the number of tree nodes visited.
-
-        A separate method (rather than an optional counter argument) so
-        the un-instrumented :meth:`subset_sum` hot loop stays exactly as
-        fast; instrumented validators switch to this variant.
-        """
-        total = 0
-        visited = 0
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            for child in node.children:
-                visited += 1
-                if mask & (1 << (child.index - 1)):
-                    total += child.count
-                    if child.children:
-                        stack.append(child)
-        return total, visited
-
     def counts_by_mask(self) -> Dict[int, int]:
         """Reconstruct the aggregated ``{mask: C[S]}`` mapping from the tree
         (zero-count interior nodes are omitted).  Used for cross-engine

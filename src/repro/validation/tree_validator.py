@@ -14,16 +14,13 @@ paper's proposed method is measured against (Figure 7).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.errors import ValidationError
 from repro.logstore.log import ValidationLog
 from repro.validation.bitset import aggregate_sums, iter_masks
 from repro.validation.report import ValidationReport, Violation, make_report
 from repro.validation.tree import ValidationTree
-
-if TYPE_CHECKING:  # pragma: no cover - import for annotations only
-    from repro.obs.instrument import Instrumentation
 
 __all__ = ["TreeValidator"]
 
@@ -74,7 +71,6 @@ class TreeValidator:
         self,
         tree: ValidationTree,
         stop_at_first: bool = False,
-        instrumentation: Optional["Instrumentation"] = None,
     ) -> ValidationReport:
         """Run every validation equation against ``tree``.
 
@@ -87,11 +83,6 @@ class TreeValidator:
             If ``True``, return as soon as one violation is found (useful
             for feasibility-only queries); ``equations_checked`` then
             reflects the early exit.
-        instrumentation:
-            Optional :class:`repro.obs.instrument.Instrumentation`.  When
-            given, ``equations_checked``/``node_visits``/``violations``
-            counters are reported in bulk after the sweep (the default
-            ``None`` leaves the hot loop untouched).
         """
         if tree.max_index() > self._n:
             raise ValidationError(
@@ -100,47 +91,23 @@ class TreeValidator:
             )
         violations: List[Violation] = []
         checked = 0
-        if instrumentation is None:
-            for mask in iter_masks(self._n):
-                checked += 1
-                lhs = tree.subset_sum(mask)
-                rhs = self._rhs[mask]
-                if lhs > rhs:
-                    violations.append(Violation(mask, lhs, rhs))
-                    if stop_at_first:
-                        break
-        else:
-            node_visits = 0
-            with instrumentation.span("validate_all", n=self._n) as span:
-                for mask in iter_masks(self._n):
-                    checked += 1
-                    lhs, visited = tree.subset_sum_counting(mask)
-                    node_visits += visited
-                    rhs = self._rhs[mask]
-                    if lhs > rhs:
-                        violations.append(Violation(mask, lhs, rhs))
-                        if stop_at_first:
-                            break
-                span.set_attr("equations_checked", checked)
-                span.set_attr("node_visits", node_visits)
-            instrumentation.count("equations_checked", checked)
-            instrumentation.count("node_visits", node_visits)
-            if violations:
-                instrumentation.count("violations", len(violations))
+        for mask in iter_masks(self._n):
+            checked += 1
+            lhs = tree.subset_sum(mask)
+            rhs = self._rhs[mask]
+            if lhs > rhs:
+                violations.append(Violation(mask, lhs, rhs))
+                if stop_at_first:
+                    break
         return make_report(self.engine_name, checked, violations)
 
     def validate_log(
         self,
         log: ValidationLog,
         stop_at_first: bool = False,
-        instrumentation: Optional["Instrumentation"] = None,
     ) -> ValidationReport:
         """Convenience: build the tree from ``log`` and validate."""
-        return self.validate(
-            ValidationTree.from_log(log),
-            stop_at_first=stop_at_first,
-            instrumentation=instrumentation,
-        )
+        return self.validate(ValidationTree.from_log(log), stop_at_first=stop_at_first)
 
     def check_equation(self, tree: ValidationTree, mask: int) -> Optional[Violation]:
         """Evaluate a single validation equation; return the violation or

@@ -1,7 +1,8 @@
 """Property tests: dense kernel and tree walk are byte-identical.
 
 The headline guarantee of the dense headroom kernel is that switching
-``kernel="tree"`` to ``kernel="dense"`` changes *only* the cost model:
+``kernel_cap=0`` (the tree walk) to a cap covering the group (the dense
+kernel) changes *only* the cost model:
 every headroom value, every verdict, and every violation triple must be
 identical, including under interleaved inserts and revalidation cache
 hits.  Hypothesis drives random groups (``N_k <= 12``) and random
@@ -14,6 +15,7 @@ from repro.core.grouping import GroupStructure
 from repro.core.incremental import GroupSlice
 from repro.core.kernel import KERNEL_DENSE, KERNEL_TREE, DenseHeadroomKernel
 from repro.validation.capacity import headroom as tree_headroom
+from repro.validation.limits import DEFAULT_KERNEL_CAP
 from repro.validation.tree import ValidationTree
 
 
@@ -71,9 +73,12 @@ class TestKernelTreeParity:
         interleaved inserts and cache-hit revalidations."""
         n, aggregates, steps, probes = scenario
         structure = GroupStructure((frozenset(range(1, n + 1)),), n)
-        dense = GroupSlice(structure, aggregates, 0, kernel=KERNEL_DENSE)
-        tree = GroupSlice(structure, aggregates, 0, kernel=KERNEL_TREE)
+        dense = GroupSlice(
+            structure, aggregates, 0, kernel_cap=DEFAULT_KERNEL_CAP
+        )
+        tree = GroupSlice(structure, aggregates, 0, kernel_cap=0)
         assert dense.kernel_name == KERNEL_DENSE
+        assert tree.kernel_name == KERNEL_TREE
         assert not dense.kernel_fallback
         for members, count, check in steps:
             dense.insert(members, count)
@@ -103,7 +108,9 @@ class TestKernelTreeParity:
         """headroom_batch answers exactly like one-at-a-time headroom."""
         n, aggregates, steps, probes = scenario
         structure = GroupStructure((frozenset(range(1, n + 1)),), n)
-        dense = GroupSlice(structure, aggregates, 0, kernel=KERNEL_DENSE)
+        dense = GroupSlice(
+            structure, aggregates, 0, kernel_cap=DEFAULT_KERNEL_CAP
+        )
         for members, count, _ in steps:
             dense.insert(members, count)
         if probes:

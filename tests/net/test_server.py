@@ -36,10 +36,6 @@ class TestConfigValidation:
         with pytest.raises(ServiceError, match="max_inflight"):
             WireServerConfig(max_inflight=0)
 
-    def test_bad_read_limit(self):
-        with pytest.raises(ServiceError, match="read_limit"):
-            WireServerConfig(read_limit=4)
-
 
 class TestBasicServing:
     def test_handshake_reports_pool_shape(self, workload):

@@ -9,7 +9,7 @@ The acceptance properties of the observability layer:
 * the ``equations_checked`` span attributes are *accounting*, not
   decoration: they sum to exactly the run's ``equations_checked_total``;
 * the event journal captures every admission/rejection plus the
-  operational transitions (backpressure, cache eviction, epoch change).
+  operational transitions (backpressure, cache eviction).
 """
 
 import pytest
@@ -17,6 +17,7 @@ import pytest
 from repro.obs.events import EventLog
 from repro.obs.trace import SamplingConfig, Tracer
 from repro.service import ServiceConfig, ValidationService
+from repro.service import service as service_module
 from repro.workloads.config import WorkloadConfig
 from repro.workloads.generator import WorkloadGenerator
 
@@ -183,12 +184,14 @@ class TestEventJournal:
             if event["kind"] == "rejection":
                 assert event["reason"] in ("instance", "equation", "capacity")
 
-    def test_cache_eviction_event_emitted(self, workload):
+    def test_cache_eviction_event_emitted(self, workload, monkeypatch):
         pool, stream = workload
         events = EventLog()
+        # A two-entry match cache evicts on the third distinct request.
+        monkeypatch.setattr(service_module, "MATCH_CACHE_SIZE", 2)
         with ValidationService(
             pool,
-            ServiceConfig(shards=1, batch_size=8, match_cache_size=2),
+            ServiceConfig(shards=1, batch_size=8),
             events=events,
         ) as service:
             service.process(stream)

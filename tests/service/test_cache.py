@@ -81,47 +81,19 @@ class TestMatchCache:
             assert cached.match(usage) == matcher.match(usage)
         assert cached.hits == len(scenario.usages)
 
-    def test_zero_maxsize_disables_caching(self, scenario):
-        matcher = IndexedMatcher(scenario.pool)
-        uncached = MatchCache(matcher, maxsize=0)
-        usage = scenario.usages[0]
-        assert uncached.match(usage) == matcher.match(usage)
-        assert uncached.match(usage) == matcher.match(usage)
-        assert (uncached.hits, uncached.misses) == (0, 0)
-
-    def test_invalidate_forces_recomputation(self, scenario):
-        cached = MatchCache(IndexedMatcher(scenario.pool), maxsize=16)
-        usage = scenario.usages[0]
-        cached.match(usage)
-        cached.invalidate()
-        cached.match(usage)
-        assert cached.hits == 0
-        assert cached.misses == 2
-
 
 class TestGroupTables:
     def test_tables_agree_with_structure(self, scenario):
         tables = GroupTables(scenario.pool)
         # Example 1: groups {1, 2, 4} and {3, 5}.
         assert tables.group_count == 2
-        assert set(tables.members[0]) | set(tables.members[1]) == {1, 2, 3, 4, 5}
-        for group_id, members in enumerate(tables.members):
+        assert set(tables.group_of) == {1, 2, 3, 4, 5}
+        for group_id, members in enumerate(tables.structure.groups):
             for index in members:
                 assert tables.group_of[index] == group_id
-            mask = 0
-            for index in members:
-                mask |= 1 << (index - 1)  # bit i-1 stands for license i
-            assert tables.masks[group_id] == mask
 
     def test_aggregates_match_pool(self, scenario):
         tables = GroupTables(scenario.pool)
         assert list(tables.aggregates) == [
             lic.aggregate for _idx, lic in scenario.pool.enumerate()
         ]
-
-    def test_refresh_bumps_epoch(self, scenario):
-        tables = GroupTables(scenario.pool)
-        assert tables.epoch == 0
-        assert tables.refresh() == 1
-        assert tables.epoch == 1
-        assert tables.group_count == 2  # same pool, same structure
