@@ -31,8 +31,6 @@ from repro.core.kernel import KERNEL_DENSE, KERNEL_TREE, DenseHeadroomKernel
 from repro.validation.capacity import headroom as tree_headroom
 from repro.validation.limits import DEFAULT_KERNEL_CAP
 from repro.validation.tree import ValidationTree
-from repro.workloads.config import WorkloadConfig
-from repro.workloads.generator import WorkloadGenerator
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 

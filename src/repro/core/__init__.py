@@ -14,7 +14,6 @@ from repro.core.gain import (
 from repro.core.grouped_tree import GroupedValidationTree
 from repro.core.kernel import (
     KERNEL_DENSE,
-    KERNEL_NAMES,
     KERNEL_TREE,
     DenseHeadroomKernel,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "GroupedZetaValidator",
     "IncrementalValidator",
     "KERNEL_DENSE",
-    "KERNEL_NAMES",
     "KERNEL_TREE",
     "OverlapGraph",
     "UnionFind",

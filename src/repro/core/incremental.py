@@ -118,7 +118,6 @@ class GroupSlice:
         self._dirty = False
         self._cached: Optional[ValidationReport] = None
         self._records = 0
-        self._version = 0
         self._touched_since_reval = 0
 
     # ------------------------------------------------------------------
@@ -149,17 +148,6 @@ class GroupSlice:
         """Return whether a non-zero cap was exceeded by the group,
         downgrading this slice to the tree walk."""
         return 0 < self._kernel_cap < self.size
-
-    @property
-    def version(self) -> int:
-        """Return the mutation counter (bumped by every insert).
-
-        Lets batch admission reuse a vectorized headroom prefetch for as
-        long as the slice is untouched, re-querying only after an
-        interleaved insert -- verdicts stay byte-identical to strictly
-        sequential processing.
-        """
-        return self._version
 
     @property
     def masks_touched(self) -> int:
@@ -223,7 +211,6 @@ class GroupSlice:
         self._dirty = True
         self._cached = None
         self._records += 1
-        self._version += 1
 
     def headroom(self, members: Iterable[int]) -> int:
         """Return the largest count issuable against ``members`` now.
@@ -249,8 +236,9 @@ class GroupSlice:
 
         On the dense kernel the whole batch is answered by one
         vectorized ``H`` gather; the tree path degrades to a per-set
-        loop.  Callers interleaving inserts must invalidate against
-        :attr:`version` to preserve sequential semantics.
+        loop.  An :meth:`insert` changes every later answer, so the
+        values are only valid until the next insert.  Admission does
+        not call it: each request reads :meth:`headroom` once.
         """
         if self._kernel is not None:
             masks = [

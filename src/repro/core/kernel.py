@@ -86,7 +86,6 @@ from repro.validation.zeta import subset_sums_dense
 __all__ = [
     "DenseHeadroomKernel",
     "KERNEL_DENSE",
-    "KERNEL_NAMES",
     "KERNEL_TREE",
     "KernelPlane",
     "KernelPlaneAllocator",
@@ -96,8 +95,6 @@ __all__ = [
 KERNEL_TREE = "tree"
 #: Engine name of the dense table kernel of this module.
 KERNEL_DENSE = "dense"
-#: Every engine name a :class:`repro.core.incremental.GroupSlice` reports.
-KERNEL_NAMES = (KERNEL_TREE, KERNEL_DENSE)
 
 #: Bound on the cone-index cache (one int64 vector of ``2^{N - |T|}``
 #: entries per distinct inserted mask; admission traffic repeats masks
@@ -471,10 +468,10 @@ class DenseHeadroomKernel:
         return slack if slack > 0 else 0
 
     def headroom_many(self, masks: Sequence[int]) -> List[int]:
-        """Vectorized :meth:`headroom` for a whole admission batch.
+        """Vectorized :meth:`headroom` over many masks.
 
-        One fancy-indexed gather replaces per-request Python dispatch;
-        the returned list matches ``masks`` positionally.
+        One fancy-indexed gather replaces per-mask Python dispatch; the
+        returned list matches ``masks`` positionally.
         """
         if not masks:
             return []

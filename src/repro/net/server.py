@@ -88,17 +88,14 @@ class WireServerConfig:
         Bound on submitted-but-unanswered requests across all
         connections.  Arrivals beyond it get a wire ``OVERLOADED``
         error (retryable; the connection stays alive).
-    auto_flush:
-        When ``True`` (default), requests are flushed through the
-        service as soon as the batch parsed from one read chunk has been
-        submitted.  Tests set ``False`` to drive :meth:`flush` manually
-        and observe window saturation deterministically.
+
+    The server flushes through the service as soon as the requests
+    parsed from one read chunk have been submitted.
     """
 
     host: str = "127.0.0.1"
     port: int = 0
     max_inflight: int = 256
-    auto_flush: bool = True
 
     def __post_init__(self) -> None:
         if self.max_inflight < 1:
@@ -159,7 +156,7 @@ class AdmissionServer:
         service.enable_request_timings()
         monitor = service.monitor
         if monitor is not None:
-            # Lets the monitor grade wire window saturation (the sixth
+            # Lets the monitor grade wire window saturation (the fifth
             # health indicator) against this server's actual capacity.
             monitor.set_wire_capacity(self.config.max_inflight)
         self._server: Optional[asyncio.base_events.Server] = None
@@ -274,7 +271,7 @@ class AdmissionServer:
                 submitted = 0
                 for frame in frames:
                     submitted += await self._handle_frame(connection, frame)
-                if submitted and self.config.auto_flush:
+                if submitted:
                     await self.flush()
         except ProtocolError as exc:
             logger.warning(
@@ -450,7 +447,6 @@ class AdmissionServer:
             "connections_open": len(self._connections),
             "requests_served": self._requests_served,
             "draining": self._draining,
-            "timing_echo": True,
         }
 
     async def _handle_admin(self, connection: _Connection, frame: Frame) -> None:
@@ -525,9 +521,10 @@ class AdmissionServer:
                 # Nothing of ours in flight -- nothing to map back.
                 return 0
             ordered_seqs = sorted(self._pending)
-            # drain() joins shard worker futures -- blocking work that
-            # would stall every connection if run on the event loop.
-            # The flush mutex still serializes drains, so outcome order
+            # drain() runs the shards inline or, on the resident
+            # executor, blocks on worker pipe reads -- work that would
+            # stall every connection if run on the event loop.  The
+            # flush mutex still serializes drains, so outcome order
             # stays deterministic.
             loop = asyncio.get_running_loop()
             outcomes = await loop.run_in_executor(None, self.service.drain)

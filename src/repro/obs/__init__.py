@@ -7,11 +7,11 @@ counters, gauges, latency quantiles.  This package answers *why* and
 * :mod:`repro.obs.trace` -- hierarchical span tracing
   (:class:`Tracer`/:class:`Span`): monotonic-clock timings, parent/child
   nesting, per-span attributes (``group_id``, ``equations_checked``,
-  ``cache_hit``), deterministic span ids from a seeded counter, and
+  ``matched``), deterministic span ids from a seeded counter, and
   head-based sampling so heavy traffic can keep a representative slice;
 * :mod:`repro.obs.events` -- an append-only structured JSONL event log
-  (admissions, rejections with reason codes, backpressure, cache
-  evictions) with bounded-size rotation;
+  (admissions, rejections with reason codes, backpressure, alerts, wire
+  connections and drains) with bounded-size rotation;
 * :mod:`repro.obs.export` -- renderers: the
   :class:`repro.service.metrics.MetricsRegistry` to Prometheus text
   format or JSON, finished traces to JSONL / ASCII span trees /
@@ -46,7 +46,6 @@ from repro.obs.events import (
     EVENT_ADMISSION,
     EVENT_ALERT,
     EVENT_BACKPRESSURE,
-    EVENT_CACHE_EVICTION,
     EVENT_REJECTION,
     EventLog,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "EVENT_ADMISSION",
     "EVENT_ALERT",
     "EVENT_BACKPRESSURE",
-    "EVENT_CACHE_EVICTION",
     "EVENT_REJECTION",
     "AssembledTrace",
     "EventLog",

@@ -10,7 +10,6 @@ decision:
 * ``rejection`` -- a request was refused, with the machine reason code
   (``instance``/``equation``/``capacity``) *and* the human detail string;
 * ``backpressure`` -- a shard queue pushed back (shard id, depth);
-* ``cache_eviction`` -- the match cache dropped an entry;
 * ``alert`` -- a monitor alert rule changed lifecycle state
   (``pending`` -> ``firing`` -> ``resolved``);
 * ``conn_open`` / ``conn_close`` -- a wire client connected to /
@@ -46,7 +45,6 @@ __all__ = [
     "EVENT_ADMISSION",
     "EVENT_ALERT",
     "EVENT_BACKPRESSURE",
-    "EVENT_CACHE_EVICTION",
     "EVENT_CONN_CLOSE",
     "EVENT_CONN_OPEN",
     "EVENT_DRAIN",
@@ -57,7 +55,6 @@ __all__ = [
 EVENT_ADMISSION = "admission"
 EVENT_REJECTION = "rejection"
 EVENT_BACKPRESSURE = "backpressure"
-EVENT_CACHE_EVICTION = "cache_eviction"
 #: Alert lifecycle transition (rule, from_state, to_state, value, at)
 #: appended by :class:`repro.obs.monitor.Monitor`.
 EVENT_ALERT = "alert"
@@ -74,7 +71,6 @@ KNOWN_KINDS = (
     EVENT_ADMISSION,
     EVENT_REJECTION,
     EVENT_BACKPRESSURE,
-    EVENT_CACHE_EVICTION,
     EVENT_ALERT,
     EVENT_CONN_OPEN,
     EVENT_CONN_CLOSE,

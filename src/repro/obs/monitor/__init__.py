@@ -7,8 +7,8 @@ The consumption layer over :mod:`repro.obs` telemetry -- see
   :class:`~repro.service.metrics.MetricsRegistry` hooks;
 * :class:`HealthEvaluator` / :class:`HealthReport` /
   :class:`HealthThresholds` -- derived indicators (queue saturation,
-  backpressure, cache hit ratio, latency drift, and the Equation-3
-  efficiency-drift signal);
+  backpressure, latency drift, and the Equation-3 efficiency-drift
+  signal);
 * :class:`Slo` / :class:`SloTracker` -- availability/latency objectives
   with error-budget burn rates;
 * :class:`ThresholdRule` / :class:`EwmaRule` / :class:`AlertEngine` --

@@ -2,7 +2,7 @@
 
 Raw counters say what happened; an operator wants to know whether the
 service is *degrading*.  :class:`HealthEvaluator` condenses the stream
-state into five named indicators (six when a wire front end is
+state into four named indicators (five when a wire front end is
 configured), each graded ``ok`` / ``warn`` / ``critical`` against
 configurable :class:`HealthThresholds`:
 
@@ -11,8 +11,6 @@ configurable :class:`HealthThresholds`:
   backpressure);
 * ``backpressure_rate`` -- overload rejections per second inside the
   window (sustained non-zero values mean the service is shedding load);
-* ``cache_hit_ratio`` -- match-cache hits / lookups (graded *inverted*:
-  low is bad, a cold cache re-runs geometric matching per request);
 * ``latency_drift`` -- the rolling p99 of ``latency_seconds`` relative
   to a slow EWMA baseline of itself (2.0 = p99 doubled vs. its own
   recent history);
@@ -70,12 +68,6 @@ class HealthThresholds:
     #: Overload events per second (windowed rate).
     backpressure_warn: float = 0.5
     backpressure_critical: float = 5.0
-    #: Hit ratios *below* these grade warn/critical.
-    cache_hit_warn: float = 0.5
-    cache_hit_critical: float = 0.1
-    #: Lookups needed before the hit ratio is graded at all (a cold
-    #: cache on a trickle of traffic is not an incident).
-    cache_min_lookups: int = 20
     #: p99 as a multiple of its own EWMA baseline.
     latency_drift_warn: float = 2.0
     latency_drift_critical: float = 5.0
@@ -151,15 +143,6 @@ def _grade_high(value: float, warn: float, critical: float) -> str:
     return STATUS_OK
 
 
-def _grade_low(value: float, warn: float, critical: float) -> str:
-    """Grade a lower-is-worse value."""
-    if value <= critical:
-        return STATUS_CRITICAL
-    if value <= warn:
-        return STATUS_WARN
-    return STATUS_OK
-
-
 class HealthEvaluator:
     """Compute the built-in indicator set from a :class:`MetricStreams`.
 
@@ -177,7 +160,7 @@ class HealthEvaluator:
         when unknown).
     wire_inflight_capacity:
         The wire server's ``max_inflight`` window bound.  ``None`` (no
-        wire front end) leaves the indicator set at the classic five;
+        wire front end) leaves the indicator set at the base four;
         setting it adds the ``wire_saturation`` indicator.
     """
 
@@ -237,31 +220,6 @@ class HealthEvaluator:
             rate,
             f"{self.streams.delta('overload_total'):g} overload(s) in "
             f"{self.streams.window:g}s window",
-        )
-
-    def _cache_hit_ratio(self) -> Indicator:
-        thresholds = self.thresholds
-        hits = self.streams.last("match_cache_hits")
-        misses = self.streams.last("match_cache_misses")
-        if hits is None or misses is None or hits + misses == 0:
-            return Indicator(
-                "cache_hit_ratio", STATUS_OK, 1.0, "no cache data in window"
-            )
-        lookups = hits + misses
-        ratio = hits / lookups
-        if lookups < thresholds.cache_min_lookups:
-            return Indicator(
-                "cache_hit_ratio", STATUS_OK, ratio,
-                f"warming up: {lookups:g} lookup(s) < "
-                f"{thresholds.cache_min_lookups} floor",
-            )
-        return Indicator(
-            "cache_hit_ratio",
-            _grade_low(
-                ratio, thresholds.cache_hit_warn, thresholds.cache_hit_critical
-            ),
-            ratio,
-            f"{hits:g} hit(s) / {misses:g} miss(es)",
         )
 
     def _latency_drift(self) -> Indicator:
@@ -351,12 +309,11 @@ class HealthEvaluator:
 
         The wire-saturation indicator only joins the set when a wire
         capacity is configured, so file-sink deployments keep the exact
-        five-indicator surface their golden reports pin down.
+        four-indicator surface their golden reports pin down.
         """
         indicators = (
             self._queue_saturation(),
             self._backpressure_rate(),
-            self._cache_hit_ratio(),
             self._latency_drift(),
             self._efficiency_ratio(),
         )

@@ -6,15 +6,15 @@ and events PR 2 taught the pipeline to emit.  Hand one to a
 
 1. **attach** -- the monitor subscribes its :class:`MetricStreams` to the
    service's registry hooks and captures the service-derived constants
-   the indicators need (queue capacity, the pool's ``Σ_k (2^{N_k} - 1)``
-   grouped-equation bound, the match-cache stat accessor);
+   the indicators need (queue capacity and the pool's
+   ``Σ_k (2^{N_k} - 1)`` grouped-equation bound);
 2. **tick** -- after every drain the service calls :meth:`tick`, which
-   (a) publishes cache stats as gauges, (b) evaluates the health
-   indicators and SLO trackers, (c) builds the *signal map* and runs the
-   alert engine, (d) appends every alert transition to the structured
-   event journal (kind ``alert``) and mirrors rule states / SLO grades
-   into registry gauges, so the regular Prometheus/JSON exporters carry
-   the full monitoring picture with zero extra wiring;
+   (a) evaluates the health indicators and SLO trackers, (b) builds the
+   *signal map* and runs the alert engine, (c) appends every alert
+   transition to the structured event journal (kind ``alert``) and
+   mirrors rule states / SLO grades into registry gauges, so the
+   regular Prometheus/JSON exporters carry the full monitoring picture
+   with zero extra wiring;
 3. **report** -- :meth:`snapshot` (JSON-friendly), :meth:`report`
    (human), :meth:`timeline` (every alert transition so far, the object
    the byte-identical determinism tests compare).
@@ -22,7 +22,8 @@ and events PR 2 taught the pipeline to emit.  Hand one to a
 Signal names available to alert rules (the ``source`` field):
 
 * indicator values: ``queue_saturation``, ``backpressure_rate``,
-  ``cache_hit_ratio``, ``latency_drift``, ``efficiency_ratio``;
+  ``latency_drift``, ``efficiency_ratio`` (and ``wire_saturation``
+  behind a wire server);
 * SLO grades: ``slo_burn:<name>`` and ``slo_compliance:<name>``;
 * raw stream views: ``rate:<metric>``, ``delta:<metric>``,
   ``last:<metric>``, ``p50:<metric>`` / ``p95:<metric>`` /
@@ -156,7 +157,6 @@ class Monitor:
             self.streams, self.config.thresholds
         )
         self._registry = None
-        self._cache_stats: Optional[Callable[[], Tuple[int, int, int]]] = None
         self._timeline: List[AlertTransition] = []
         self._last_health: Optional[HealthReport] = None
         self._last_slos: List[SloStatus] = []
@@ -171,7 +171,6 @@ class Monitor:
         *,
         queue_capacity: Optional[int] = None,
         equations_bound: Optional[int] = None,
-        cache_stats: Optional[Callable[[], Tuple[int, int, int]]] = None,
         events: Optional[EventLog] = None,
         wire_inflight_capacity: Optional[int] = None,
     ) -> None:
@@ -188,7 +187,6 @@ class Monitor:
         self._evaluator.equations_bound = equations_bound
         if wire_inflight_capacity is not None:
             self._evaluator.wire_inflight_capacity = wire_inflight_capacity
-        self._cache_stats = cache_stats
         if self.events is None and events is not None:
             self.events = events
 
@@ -211,7 +209,6 @@ class Monitor:
             service.metrics,
             queue_capacity=service.config.queue_capacity,
             equations_bound=equations_with_grouping(service.group_sizes),
-            cache_stats=service.match_cache_stats,
             events=service.events,
         )
 
@@ -265,11 +262,6 @@ class Monitor:
         if self._registry is None:
             raise ServiceError("monitor.tick() before attach")
         registry = self._registry
-        if self._cache_stats is not None:
-            hits, misses, evictions = self._cache_stats()
-            registry.gauge("match_cache_hits").set(hits)
-            registry.gauge("match_cache_misses").set(misses)
-            registry.gauge("match_cache_evictions").set(evictions)
         health = self._evaluator.evaluate()
         slo_statuses = self._slo_tracker.evaluate()
         now = self._clock()

@@ -231,7 +231,7 @@ class Tracer:
     >>> tracer = Tracer(clock=iter(range(100)).__next__)
     >>> with tracer.span("request", seq=0) as root:
     ...     with tracer.span("match") as child:
-    ...         child.set_attr("cache_hit", False)
+    ...         child.set_attr("matched", 2)
     >>> [(r.name, r.parent_id is None) for r in tracer.records()]
     [('match', False), ('request', True)]
     """

@@ -257,7 +257,7 @@ class ServiceSession:
 
     Implements the same ``issue`` / ``outcomes`` / ``log`` surface as
     :class:`IssuanceSession` in equation mode, but every decision runs
-    through the serving layer: cached instance matching, group-sharded
+    through the serving layer: indexed instance matching, group-sharded
     admission, and metrics.  Verdicts are identical to
     ``IssuanceSession(pool, "equation")`` (property-tested) -- the service
     *is* the equation policy, scaled out.

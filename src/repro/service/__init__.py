@@ -4,13 +4,11 @@ Turns Theorem 2's group independence into a serving architecture: each
 disconnected overlap group is assigned to a shard with a serialized,
 bounded work queue; shards drain concurrently under a configurable
 executor; admission is batched so each batch pays one incremental
-revalidation pass; match results and group tables are cached; and every
-decision is accounted in a metrics registry with latency percentiles and
-pluggable event hooks.
+revalidation pass; and every decision is accounted in a metrics registry
+with latency percentiles and pluggable event hooks.
 """
 
 from repro.errors import ServiceError, ServiceOverloadedError
-from repro.service.cache import GroupTables, LRUCache, MatchCache, request_key
 from repro.service.config import ServiceConfig
 from repro.service.executor import SerialExecutor
 from repro.service.metrics import Counter, Gauge, Histogram, MetricsRegistry
@@ -21,10 +19,7 @@ __all__ = [
     "Counter",
     "Gauge",
     "GroupShard",
-    "GroupTables",
     "Histogram",
-    "LRUCache",
-    "MatchCache",
     "MetricsRegistry",
     "SerialExecutor",
     "ServiceConfig",
@@ -34,5 +29,4 @@ __all__ = [
     "ShardResult",
     "ShardStats",
     "ValidationService",
-    "request_key",
 ]

@@ -1,12 +1,12 @@
-"""The validation service: concurrent, batched, cached license serving.
+"""The validation service: concurrent, batched license serving.
 
 :class:`ValidationService` is the serving-architecture composition of the
 whole library -- the ROADMAP's "heavy traffic" layer built directly on
 Theorem 2:
 
 1. **match** -- the request's instance-match set is resolved against the
-   pool through an LRU memo (:class:`repro.service.cache.MatchCache`);
-   an empty set is an instant ``instance`` rejection, never queued;
+   pool by :class:`repro.matching.index.IndexedMatcher`; an empty set is
+   an instant ``instance`` rejection, never queued;
 2. **route** -- the match set belongs to exactly one overlap group
    (Corollary 1.1), and groups are assigned to shards round-robin, so
    the request lands on a single shard's bounded queue (a full queue
@@ -16,9 +16,9 @@ Theorem 2:
    exact group-restricted headroom admission and one incremental
    revalidation pass per batch;
 4. **account** -- counters (accepted / rejected-by-reason / overload),
-   end-to-end latency histograms (p50/p95/p99), per-shard queue-depth
-   gauges, and cache statistics land in a
-   :class:`repro.service.metrics.MetricsRegistry` with pluggable hooks.
+   end-to-end latency histograms (p50/p95/p99) and per-shard queue-depth
+   gauges land in a :class:`repro.service.metrics.MetricsRegistry` with
+   pluggable hooks.
 
 Verdicts depend only on the per-group submission order, so the outcome
 stream (ordered by sequence number) is byte-identical for every shard
@@ -42,8 +42,10 @@ import time
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import ServiceError, ServiceOverloadedError, ValidationError
+from repro.core.grouping import GroupStructure, form_groups
 from repro.core.incremental import GroupSlice
 from repro.core.kernel import KernelPlane, KernelPlaneAllocator
+from repro.core.overlap import OverlapGraph
 from repro.licenses.license import UsageLicense
 from repro.licenses.pool import LicensePool
 from repro.logstore.log import ValidationLog
@@ -51,14 +53,12 @@ from repro.matching.index import IndexedMatcher
 from repro.obs.events import (
     EVENT_ADMISSION,
     EVENT_BACKPRESSURE,
-    EVENT_CACHE_EVICTION,
     EVENT_REJECTION,
     EventLog,
 )
 from repro.obs.distrib import ServerTiming
 from repro.obs.trace import NULL_SPAN, Tracer
 from repro.online.session import IssuanceOutcome
-from repro.service.cache import GroupTables, MatchCache
 from repro.service.config import ServiceConfig
 from repro.service.executor import SerialExecutor
 from repro.service.metrics import MetricsRegistry
@@ -74,8 +74,6 @@ __all__ = ["ValidationService"]
 REASON_INSTANCE = "instance"
 #: Label used on the overload counter and outcome streams.
 REASON_OVERLOAD = "overload"
-#: LRU entries for instance-match memoization.
-MATCH_CACHE_SIZE = 4096
 #: Sample window of the latency histogram: exact quantiles are computed
 #: over the most recent this-many requests.
 LATENCY_WINDOW = 65536
@@ -104,8 +102,7 @@ class ValidationService:
         streams are byte-identical with it on or off.
     events:
         Optional :class:`repro.obs.events.EventLog` receiving the
-        structured admission/rejection/backpressure/cache-eviction
-        journal.
+        structured admission/rejection/backpressure journal.
     monitor:
         Optional :class:`repro.obs.monitor.Monitor`.  When given, it is
         attached to this service's registry at construction and ticked
@@ -133,13 +130,13 @@ class ValidationService:
         self.tracer = tracer
         self.events = events
         self._pool = pool
-        self._tables = GroupTables(pool)
-        self._matcher = MatchCache(
-            IndexedMatcher(pool),
-            MATCH_CACHE_SIZE,
-            on_evict=self._on_cache_evict if events is not None else None,
+        self._matcher = IndexedMatcher(pool)
+        self._structure: GroupStructure = form_groups(
+            OverlapGraph.from_boxes(pool.boxes())
         )
-        self._shard_count = min(self.config.shards, self._tables.group_count)
+        self._aggregates = pool.aggregate_array()
+        self._group_of: Dict[int, int] = self._structure.group_lookup()
+        self._shard_count = min(self.config.shards, self._structure.count)
         resident = self.config.executor == "resident"
         # Resident backend: back each dense group's C/H tables with
         # coordinator-owned shared-memory planes.  The coordinator's own
@@ -151,17 +148,17 @@ class ValidationService:
         slices_by_shard: Dict[int, Dict[int, GroupSlice]] = {
             shard_id: {} for shard_id in range(self._shard_count)
         }
-        for group_id in range(self._tables.group_count):
+        for group_id in range(self._structure.count):
             planes: Optional[Tuple[KernelPlane, KernelPlane]] = None
             if self._plane_allocator is not None:
-                group_size = len(self._tables.structure.groups[group_id])
+                group_size = len(self._structure.groups[group_id])
                 if group_size <= self.config.kernel_cap:
                     planes = self._plane_allocator.pair_for(
                         group_id, 1 << group_size
                     )
             slices_by_shard[group_id % self._shard_count][group_id] = GroupSlice(
-                self._tables.structure,
-                self._tables.aggregates,
+                self._structure,
+                self._aggregates,
                 group_id,
                 kernel_cap=self.config.kernel_cap,
                 planes=planes,
@@ -227,17 +224,18 @@ class ValidationService:
     @property
     def group_count(self) -> int:
         """Return the number of disconnected overlap groups."""
-        return self._tables.group_count
+        return self._structure.count
 
     @property
     def group_sizes(self) -> List[int]:
         """Return the member count of each overlap group (the ``N_k`` of
         the paper's Equation 3 denominator)."""
-        return list(self._tables.structure.sizes)
+        return list(self._structure.sizes)
 
     def match_cache_stats(self) -> Tuple[int, int, int]:
-        """Return ``(hits, misses, evictions)`` of the match cache."""
-        return (self._matcher.hits, self._matcher.misses, self._matcher.evictions)
+        """Return ``(0, 0, 0)``: there is no match cache, every request
+        is matched afresh (kept for ``perfbench/launcher.py``)."""
+        return (0, 0, 0)
 
     @property
     def log(self) -> ValidationLog:
@@ -370,12 +368,8 @@ class ValidationService:
             span.set_attr("remote_parent", True)
         match_started = time.perf_counter() if self._timings_enabled else 0.0
         if tracer is not None:
-            hits_before = self._matcher.hits
             with tracer.span("match", parent=span) as match_span:
                 matched = tuple(sorted(self._matcher.match(usage)))
-                match_span.set_attr(
-                    "cache_hit", self._matcher.hits > hits_before
-                )
                 match_span.set_attr("matched", len(matched))
         else:
             matched = tuple(sorted(self._matcher.match(usage)))
@@ -414,7 +408,7 @@ class ValidationService:
             span.set_attr("reason", REASON_INSTANCE)
             span.end()
             return seq
-        group_id = self._tables.group_of[matched[0]]
+        group_id = self._group_of[matched[0]]
         shard = self._shards[group_id % self._shard_count]
         request = ShardRequest(
             seq=seq,
@@ -500,9 +494,6 @@ class ValidationService:
     # ------------------------------------------------------------------
     def report(self) -> str:
         """Return a human-readable metrics report for this service."""
-        self.metrics.gauge("match_cache_hits").set(self._matcher.hits)
-        self.metrics.gauge("match_cache_misses").set(self._matcher.misses)
-        self.metrics.gauge("match_cache_evictions").set(self._matcher.evictions)
         return self.metrics.render(
             title=(
                 f"validation service: {self.group_count} group(s) on "
@@ -592,7 +583,7 @@ class ValidationService:
         (they were validated when first accepted)."""
         for record in log:
             members = sorted(record.license_set)
-            group_id = self._tables.group_of[members[0]]
+            group_id = self._group_of[members[0]]
             shard = self._shards[group_id % self._shard_count]
             shard.preload(group_id, members, record.count)
 
@@ -615,8 +606,8 @@ class ValidationService:
                 batch_size=self.config.batch_size,
                 queue_capacity=self.config.queue_capacity,
                 kernel_cap=self.config.kernel_cap,
-                structure=self._tables.structure,
-                aggregates=tuple(self._tables.aggregates),
+                structure=self._structure,
+                aggregates=tuple(self._aggregates),
                 preloads=shard.preloads,
                 plane_names={
                     group_id: names
@@ -758,14 +749,3 @@ class ValidationService:
                 reason=outcome.rejection_reason,
                 detail=outcome.rejection_detail,
             )
-
-    def _on_cache_evict(self, key, _value) -> None:
-        self.metrics.counter("match_cache_evictions_total").inc()
-        events = self.events
-        if events is None:  # pragma: no cover - hook registered iff events
-            return
-        events.emit(
-            EVENT_CACHE_EVICTION,
-            cache="match",
-            content_id=key[0] if key else None,
-        )

@@ -341,37 +341,10 @@ class GroupShard:
             ]
             batch_started = time.perf_counter()
             touched: Dict[int, GroupSlice] = {}
-            # Dense-kernel batch prefetch: answer every headroom query of
-            # the batch with one vectorized H-table gather per group.  A
-            # prefetched value is only *used* while the slice's mutation
-            # counter still matches the gather -- an interleaved insert
-            # (accepted earlier request in the same group) invalidates the
-            # rest of that group's prefetch, which falls back to fresh O(1)
-            # lookups.  Verdicts are therefore byte-identical to strictly
-            # sequential processing.
-            prefetched: Dict[int, Tuple[int, Dict[int, int]]] = {}
-            by_group: Dict[int, List[int]] = {}
-            for position, request in enumerate(batch):
-                by_group.setdefault(request.group_id, []).append(position)
-            for group_id, positions in by_group.items():
-                gslice = self._slices[group_id]
-                if gslice.kernel_name != KERNEL_DENSE or len(positions) < 2:
-                    continue
-                slacks = gslice.headroom_batch(
-                    [batch[position].members for position in positions]
-                )
-                prefetched[group_id] = (
-                    gslice.version,
-                    dict(zip(positions, slacks)),
-                )
-            for position, request in enumerate(batch):
+            for request in batch:
                 started = time.perf_counter()
                 gslice = self._slices[request.group_id]
-                cached = prefetched.get(request.group_id)
-                if cached is not None and cached[0] == gslice.version:
-                    slack = cached[1][position]
-                else:
-                    slack = gslice.headroom(request.members)
+                slack = gslice.headroom(request.members)
                 if gslice.kernel_name == KERNEL_DENSE:
                     stats.kernel_fast_path_hits += 1
                 elif gslice.kernel_fallback:

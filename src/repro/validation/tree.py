@@ -18,7 +18,7 @@ belongs to ``S``.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ValidationError
 from repro.logstore.log import ValidationLog

@@ -145,16 +145,6 @@ class TestKernelSeam:
         validator.replay(example1_log())
         assert validator.validate().is_valid
 
-    def test_version_counter_tracks_inserts(self):
-        validator = IncrementalValidator.from_pool(
-            example1().pool, kernel_cap=DEFAULT_KERNEL_CAP
-        )
-        gslice = validator.slices()[0]
-        assert gslice.version == 0
-        gslice.insert([1, 2], 3)
-        gslice.insert([4], 1)
-        assert gslice.version == 2
-
     def test_dense_revalidate_spans_report_kernel_work(self):
         validator = IncrementalValidator.from_pool(
             example1().pool, kernel_cap=DEFAULT_KERNEL_CAP

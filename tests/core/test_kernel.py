@@ -5,7 +5,6 @@ import pytest
 from repro.errors import ValidationError
 from repro.core.kernel import (
     KERNEL_DENSE,
-    KERNEL_NAMES,
     KERNEL_TREE,
     DenseHeadroomKernel,
 )
@@ -26,7 +25,8 @@ def kernel():
 
 class TestConstruction:
     def test_kernel_names(self):
-        assert KERNEL_NAMES == (KERNEL_TREE, KERNEL_DENSE)
+        # The engine names travel in wire timing echoes and span attrs.
+        assert (KERNEL_TREE, KERNEL_DENSE) == ("tree", "dense")
 
     def test_empty_aggregates_rejected(self):
         with pytest.raises(ValidationError):

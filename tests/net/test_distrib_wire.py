@@ -250,7 +250,10 @@ class TestAdminChannel:
                     wire = health["data"]["wire"]
                     assert wire["requests_served"] == 8
                     assert wire["in_flight"] == 0
-                    assert wire["timing_echo"] is True
+                    assert set(wire) == {
+                        "in_flight", "max_inflight", "connections_open",
+                        "requests_served", "draining",
+                    }
                     names = [
                         entry["name"]
                         for entry in health["data"]["monitor"]["indicators"]

@@ -31,6 +31,16 @@ async def _start_server(pool, *, events=None, **config_kwargs):
     return server, service, host, port
 
 
+def _hold_flushes(server):
+    """Stop the read loop's flush after each chunk, so submissions pile
+    up in the window; ``AdmissionServer.flush(server)`` releases them."""
+
+    async def held() -> int:
+        return 0
+
+    server.flush = held
+
+
 class TestConfigValidation:
     def test_bad_max_inflight(self):
         with pytest.raises(ServiceError, match="max_inflight"):
@@ -87,11 +97,12 @@ class TestBackpressure:
         pool, stream = workload
 
         async def scenario():
-            # auto_flush off: submissions accumulate until we flush, so
+            # Flushes held: submissions accumulate until we flush, so
             # the 4-slot window saturates deterministically.
             server, service, host, port = await _start_server(
-                pool, max_inflight=4, auto_flush=False
+                pool, max_inflight=4
             )
+            _hold_flushes(server)
             try:
                 client = AdmissionClient(
                     host, port, retries=0, timeout=5.0
@@ -119,14 +130,14 @@ class TestBackpressure:
 
                 # The connection survived: flush the window, then the
                 # same client keeps working on the same connection.
-                flushed = await server.flush()
+                flushed = await AdmissionServer.flush(server)
                 assert flushed == 4
                 for future in sent:
                     frame = await asyncio.wait_for(future, 5.0)
                     assert frame.msg_type == protocol.MSG_RESPONSE
                 task = asyncio.ensure_future(client.request(stream[5]))
                 await asyncio.sleep(0.05)
-                await server.flush()
+                await AdmissionServer.flush(server)
                 outcome = await asyncio.wait_for(task, 5.0)
                 assert outcome.usage_id == stream[5].license_id
                 await client.close()
@@ -141,8 +152,9 @@ class TestBackpressure:
 
         async def scenario():
             server, service, host, port = await _start_server(
-                pool, max_inflight=2, auto_flush=False
+                pool, max_inflight=2
             )
+            _hold_flushes(server)
             try:
                 delays = []
 
@@ -151,7 +163,7 @@ class TestBackpressure:
                     # window, emulating the server catching up while the
                     # client backs off.
                     delays.append(delay)
-                    await server.flush()
+                    await AdmissionServer.flush(server)
 
                 client = AdmissionClient(
                     host, port, retries=3, sleep=draining_sleep
@@ -177,7 +189,7 @@ class TestBackpressure:
                 # answers the retry itself.
                 task = asyncio.ensure_future(client.request(stream[2]))
                 await asyncio.sleep(0.05)
-                await server.flush()
+                await AdmissionServer.flush(server)
                 outcome = await task
                 assert outcome.usage_id == stream[2].license_id
                 assert client.stats.retries >= 1
@@ -197,8 +209,9 @@ class TestGracefulDrain:
         async def scenario():
             events = EventLog()
             server, service, host, port = await _start_server(
-                pool, events=events, auto_flush=False
+                pool, events=events
             )
+            _hold_flushes(server)
             try:
                 client = AdmissionClient(host, port)
                 await client.connect()
@@ -216,6 +229,7 @@ class TestGracefulDrain:
                 await asyncio.sleep(0.05)
                 assert server.in_flight == 6
 
+                del server.flush  # the drain flushes through the real one
                 await server.shutdown()
 
                 # Every in-flight request was answered before the close.

@@ -39,7 +39,7 @@ class TestInMemory:
             EventLog(buffer_size=0)
 
     def test_known_kinds_are_distinct(self):
-        assert len(set(KNOWN_KINDS)) == len(KNOWN_KINDS) == 8
+        assert len(set(KNOWN_KINDS)) == len(KNOWN_KINDS) == 7
 
 
 class TestPersistence:

@@ -162,7 +162,7 @@ class TestTraceReports:
 
     def test_span_tree_nests_and_orders(self):
         records = [
-            _span("t1", "s2", "s1", "match", 1.0, 0.1, cache_hit=True),
+            _span("t1", "s2", "s1", "match", 1.0, 0.1, matched=2),
             _span("t1", "s1", None, "request", 0.0, 2.0),
             _span("t1", "s3", "s1", "admission", 1.5, 0.2),
             _span("t0", "s0", None, "earlier", -1.0, 0.5),
@@ -175,7 +175,7 @@ class TestTraceReports:
         match_at = next(i for i, l in enumerate(lines) if "match" in l)
         admission_at = next(i for i, l in enumerate(lines) if "admission" in l)
         assert request_at < match_at < admission_at
-        assert "[cache_hit=True]" in lines[match_at]
+        assert "[matched=2]" in lines[match_at]
         # Children are indented beneath their parent.
         assert lines[match_at].startswith("   ")
 

@@ -75,35 +75,6 @@ class TestBackpressureRate:
         assert indicator.value == 0.0
 
 
-class TestCacheHitRatio:
-    def test_low_ratio_critical_once_past_floor(self, streams):
-        streams.observe("match_cache_hits", (), 1.0)
-        streams.observe("match_cache_misses", (), 99.0)
-        indicator = (
-            evaluator(streams).evaluate().indicator("cache_hit_ratio")
-        )
-        assert indicator.status == STATUS_CRITICAL
-        assert indicator.value == pytest.approx(0.01)
-
-    def test_below_floor_is_warming_up(self, streams):
-        streams.observe("match_cache_hits", (), 0.0)
-        streams.observe("match_cache_misses", (), 5.0)
-        indicator = (
-            evaluator(streams).evaluate().indicator("cache_hit_ratio")
-        )
-        assert indicator.status == STATUS_OK
-        assert "warming up" in indicator.detail
-
-    def test_healthy_ratio(self, streams):
-        streams.observe("match_cache_hits", (), 90.0)
-        streams.observe("match_cache_misses", (), 10.0)
-        indicator = (
-            evaluator(streams).evaluate().indicator("cache_hit_ratio")
-        )
-        assert indicator.status == STATUS_OK
-        assert indicator.value == pytest.approx(0.9)
-
-
 class TestLatencyDrift:
     def test_first_sample_establishes_baseline(self, streams):
         streams.observe("latency_seconds", (), 0.01)
@@ -201,7 +172,7 @@ class TestReport:
     def test_all_quiet_is_ok(self, streams):
         report = evaluator(streams).evaluate()
         assert report.status == STATUS_OK
-        assert len(report.indicators) == 5
+        assert len(report.indicators) == 4
 
     def test_render_and_to_dict(self, streams):
         report = evaluator(streams).evaluate()
@@ -209,7 +180,7 @@ class TestReport:
         assert text.startswith("health: ok")
         payload = report.to_dict()
         assert payload["status"] == "ok"
-        assert len(payload["indicators"]) == 5
+        assert len(payload["indicators"]) == 4
         assert report.indicator("no_such_indicator") is None
 
     def test_thresholds_are_configurable(self, streams):

@@ -99,8 +99,8 @@ class TestServiceWiring:
             assert ("queue-saturation",) in gauge.cells()
             compliance = service.metrics.gauge("slo_compliance")
             assert compliance.value(("availability",)) == 1.0
-            cache_misses = service.metrics.gauge("match_cache_misses")
-            assert cache_misses.value() == len(stream)
+            gauges = service.metrics.snapshot()["gauges"]
+            assert not [name for name in gauges if "match_cache" in name]
 
     def test_service_exposes_group_sizes_and_cache_stats(self, workload):
         pool, stream = workload
@@ -109,9 +109,8 @@ class TestServiceWiring:
             assert len(sizes) == service.group_count
             assert sum(sizes) == len(pool)
             service.process(stream)
-            hits, misses, evictions = service.match_cache_stats()
-            assert hits + misses >= len(stream)
-            assert evictions >= 0
+            # No match cache: every request is matched afresh.
+            assert service.match_cache_stats() == (0, 0, 0)
 
     def test_snapshot_and_report_cover_all_layers(self, workload):
         pool, stream = workload
@@ -121,8 +120,8 @@ class TestServiceWiring:
         snapshot = monitor.snapshot()
         assert snapshot["ticks"] == monitor.ticks
         assert {i["name"] for i in snapshot["indicators"]} == {
-            "queue_saturation", "backpressure_rate", "cache_hit_ratio",
-            "latency_drift", "efficiency_ratio",
+            "queue_saturation", "backpressure_rate", "latency_drift",
+            "efficiency_ratio",
         }
         assert snapshot["slos"][0]["name"] == "availability"
         assert set(snapshot["alerts"]) == {
@@ -133,6 +132,25 @@ class TestServiceWiring:
         assert "health:" in text
         assert "slos:" in text
         assert "alerts:" in text
+
+    def test_generator_stream_grades_healthy(self, workload):
+        # The generator draws a fresh box per request, the traffic the
+        # paper's section 5 describes; nothing in it is degraded.
+        pool, stream = workload
+        monitor = Monitor()
+        with ValidationService(pool, monitor=monitor) as service:
+            service.process(stream)
+        indicators = {
+            entry["name"]: entry["status"]
+            for entry in monitor.snapshot()["indicators"]
+        }
+        assert set(indicators) == {
+            "queue_saturation", "backpressure_rate", "latency_drift",
+            "efficiency_ratio",
+        }
+        # latency_drift grades wall-clock p99 drift, which no test pins.
+        del indicators["latency_drift"]
+        assert set(indicators.values()) == {"ok"}
 
 
 def _scripted_replay(events_path=None):

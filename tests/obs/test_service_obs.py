@@ -9,7 +9,7 @@ The acceptance properties of the observability layer:
 * the ``equations_checked`` span attributes are *accounting*, not
   decoration: they sum to exactly the run's ``equations_checked_total``;
 * the event journal captures every admission/rejection plus the
-  operational transitions (backpressure, cache eviction).
+  operational transitions (backpressure).
 """
 
 import pytest
@@ -17,7 +17,6 @@ import pytest
 from repro.obs.events import EventLog
 from repro.obs.trace import SamplingConfig, Tracer
 from repro.service import ServiceConfig, ValidationService
-from repro.service import service as service_module
 from repro.workloads.config import WorkloadConfig
 from repro.workloads.generator import WorkloadGenerator
 
@@ -183,23 +182,6 @@ class TestEventJournal:
         for event in verdicts:
             if event["kind"] == "rejection":
                 assert event["reason"] in ("instance", "equation", "capacity")
-
-    def test_cache_eviction_event_emitted(self, workload, monkeypatch):
-        pool, stream = workload
-        events = EventLog()
-        # A two-entry match cache evicts on the third distinct request.
-        monkeypatch.setattr(service_module, "MATCH_CACHE_SIZE", 2)
-        with ValidationService(
-            pool,
-            ServiceConfig(shards=1, batch_size=8),
-            events=events,
-        ) as service:
-            service.process(stream)
-        evictions = [
-            e for e in events.tail() if e["kind"] == "cache_eviction"
-        ]
-        assert evictions
-        assert evictions[0]["cache"] == "match"
 
     def test_backpressure_event_emitted_on_overload(self, workload):
         pool, stream = workload

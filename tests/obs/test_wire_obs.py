@@ -29,13 +29,13 @@ class TestWireSaturationIndicator:
     def test_absent_without_capacity(self, streams):
         report = HealthEvaluator(streams).evaluate()
         assert report.indicator("wire_saturation") is None
-        assert len(report.indicators) == 5
+        assert len(report.indicators) == 4
 
     def test_present_with_capacity(self, streams):
         report = HealthEvaluator(streams, wire_inflight_capacity=64).evaluate()
         indicator = report.indicator("wire_saturation")
         assert indicator is not None
-        assert len(report.indicators) == 6
+        assert len(report.indicators) == 5
         assert indicator.status == STATUS_OK
         assert "no wire data" in indicator.detail
 

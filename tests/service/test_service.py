@@ -9,7 +9,11 @@ count, executor backend, batch size, and queue capacity.
 import pytest
 
 from repro.errors import ServiceError, ServiceOverloadedError, ValidationError
+from repro.core.grouping import form_groups
+from repro.core.overlap import OverlapGraph
 from repro.licenses.pool import LicensePool
+from repro.obs.events import EventLog
+from repro.obs.trace import Tracer
 from repro.online.session import IssuanceSession, ServiceSession
 from repro.service import ServiceConfig, ValidationService
 from repro.workloads.config import WorkloadConfig
@@ -186,7 +190,7 @@ class TestMetrics:
             text = service.report()
         assert "requests_total{accepted}" in text
         assert "latency_seconds" in text and "p99=" in text
-        assert "match_cache_hits" in text
+        assert "match_cache" not in text
         assert "2 shard(s)" in text
 
     def test_hooks_stream_service_events(self, workload):
@@ -199,6 +203,57 @@ class TestMetrics:
             service.process(stream[:20])
         assert "requests_total" in events
         assert "latency_seconds" in events
+
+
+class TestGroupTables:
+    """The group partition, routing map and aggregates the service
+    derives from its pool."""
+
+    def test_tables_agree_with_structure(self, workload):
+        pool, stream = workload
+        structure = form_groups(OverlapGraph.from_boxes(pool.boxes()))
+        events = EventLog()
+        with ValidationService(
+            pool, ServiceConfig(shards=2), events=events
+        ) as service:
+            outcomes = service.process(stream)
+            assert service.group_count == structure.count
+            assert service.group_sizes == list(structure.sizes)
+        routed = {
+            event["seq_no"]: event["group_id"]
+            for event in events.tail()
+            if event.get("group_id") is not None
+        }
+        assert set(routed.values()) == set(range(structure.count))
+        for seq, group_id in routed.items():
+            assert set(outcomes[seq].license_set) <= structure.groups[group_id]
+
+    def test_aggregates_match_pool(self, workload):
+        pool, stream = workload
+        aggregates = pool.aggregate_array()
+        tracer = Tracer()
+        with ValidationService(
+            pool, ServiceConfig(shards=2), tracer=tracer
+        ) as service:
+            outcomes = service.process(stream)
+        records = tracer.records()
+        seq_of = {
+            r.span_id: r.attrs["seq"] for r in records if r.name == "request"
+        }
+        admissions = sorted(
+            (seq_of[r.parent_id], r.attrs["group_id"], r.attrs["headroom"])
+            for r in records
+            if r.name == "admission"
+        )
+        first_per_group = {}
+        for seq, group_id, headroom in admissions:
+            first_per_group.setdefault(group_id, (seq, headroom))
+        assert len(first_per_group) == service.group_count
+        # Before a group's first insert its headroom for a set S is
+        # A<S>: the pool's aggregates over S.
+        for seq, headroom in first_per_group.values():
+            members = outcomes[seq].license_set
+            assert headroom == sum(aggregates[index - 1] for index in members)
 
 
 class TestLifecycle:
